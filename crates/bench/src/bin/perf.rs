@@ -5,7 +5,8 @@
 //! Measurements:
 //!
 //! 1. **End-to-end** — the §III prototype (4 cameras × 610 frames)
-//!    through the full default pipeline, `frame_parallel` off vs on,
+//!    through the full default pipeline, on a one-worker pool
+//!    ("sequential") vs the shared global pool ("frame-parallel"),
 //!    reported as aggregate camera-frames/second plus the speedup.
 //! 2. **Emotion kernels** — nanoseconds per 48×48 LBP descriptor for
 //!    the vectorized row-sliced kernel *and* the clamped per-pixel
@@ -114,7 +115,7 @@ fn main() {
     };
     eprintln!("perf: end-to-end sequential ({cameras} cam x {frames} frames)...");
     let (seq_fps, seq_s) = run_fps(PipelineConfig {
-        frame_parallel: false,
+        pool_threads: 1,
         ..PipelineConfig::default()
     });
     eprintln!("perf:   {seq_fps:.1} camera-frames/s ({seq_s:.2}s)");

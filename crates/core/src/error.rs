@@ -7,8 +7,8 @@ use std::fmt;
 /// pipeline.
 ///
 /// The analysis math itself is total — errors come from the *plumbing*:
-/// invalid configuration, dead worker threads, a closed session, or the
-/// metadata store.
+/// invalid configuration, camera lane threads that died or could not
+/// start, a closed session, or the metadata store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiEventError {
     /// A configuration value fails validation (see
@@ -25,12 +25,18 @@ pub enum DiEventError {
     /// or the camera's feed was detached with
     /// [`PipelineSession::take_feeds`](crate::PipelineSession::take_feeds).
     SessionClosed,
-    /// A per-camera worker thread panicked (or a pusher thread driving
-    /// it did). `camera` is `None` when the failing thread could not be
-    /// attributed to a single camera.
+    /// A camera's lane thread panicked.
     CameraThreadPanicked {
-        /// The camera whose thread died, when attributable.
-        camera: Option<usize>,
+        /// The camera whose thread died.
+        camera: usize,
+    },
+    /// The operating system refused to start a camera's lane thread
+    /// when the session opened.
+    CameraThreadSpawn {
+        /// The camera whose thread could not start.
+        camera: usize,
+        /// The spawn error's text.
+        message: String,
     },
     /// A task submitted to the shared work-stealing pool panicked
     /// (frame-chunk extraction or per-frame fusion). The session's
@@ -51,11 +57,11 @@ impl fmt::Display for DiEventError {
                 write!(f, "camera {camera} out of range (rig has {cameras})")
             }
             DiEventError::SessionClosed => write!(f, "session is closed to new input"),
-            DiEventError::CameraThreadPanicked { camera: Some(c) } => {
-                write!(f, "camera {c} worker thread panicked")
+            DiEventError::CameraThreadPanicked { camera } => {
+                write!(f, "camera {camera} lane thread panicked")
             }
-            DiEventError::CameraThreadPanicked { camera: None } => {
-                write!(f, "a camera worker thread panicked")
+            DiEventError::CameraThreadSpawn { camera, message } => {
+                write!(f, "camera {camera} lane thread could not start: {message}")
             }
             DiEventError::PoolWorkerPanicked => {
                 write!(f, "a work-stealing pool task panicked")
@@ -89,9 +95,15 @@ mod tests {
         }
         .to_string()
         .contains('5'));
-        assert!(DiEventError::CameraThreadPanicked { camera: Some(1) }
+        assert!(DiEventError::CameraThreadPanicked { camera: 1 }
             .to_string()
             .contains("camera 1"));
+        let spawn = DiEventError::CameraThreadSpawn {
+            camera: 2,
+            message: "out of threads".into(),
+        };
+        assert!(spawn.to_string().contains("camera 2"));
+        assert!(spawn.to_string().contains("out of threads"));
     }
 
     #[test]

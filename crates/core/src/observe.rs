@@ -168,6 +168,10 @@ pub(crate) struct SessionVitals {
     /// One flag per camera; a worker's drop guard clears its flag even
     /// when the worker unwinds.
     pub(crate) cameras_alive: Vec<AtomicBool>,
+    /// Inputs each camera's feed has offered so far. The sequencer
+    /// does not evict a frame that a live lane has ingested but not yet
+    /// returned.
+    pub(crate) ingested: Vec<AtomicU64>,
 }
 
 impl SessionVitals {
@@ -176,6 +180,7 @@ impl SessionVitals {
             opened: Instant::now(),
             watermark: AtomicU64::new(0),
             cameras_alive: (0..cameras).map(|_| AtomicBool::new(true)).collect(),
+            ingested: (0..cameras).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 

@@ -3,13 +3,17 @@
 //! [`DiEventPipeline::run`] consumes a [`Recording`] and produces an
 //! [`EventAnalysis`]. It is a thin driver over the streaming engine in
 //! [`crate::session`]: it opens a [`PipelineSession`], pushes every
-//! recorded frame through the per-camera bounded channels (one pusher
-//! thread per camera when `parallel_cameras` is set — each worker is an
-//! independent "smart camera" running detection, landmarks, pose,
-//! tracking, recognition, and emotion classification), and finishes the
-//! session with the recording's ground truth and context attached.
-//! Batch and streaming therefore share one code path and produce
-//! identical results.
+//! recorded frame from the calling thread through the per-camera
+//! bounded channels (each camera's lane is an independent "smart
+//! camera" running detection, landmarks, pose, tracking, recognition,
+//! and emotion classification), and finishes the session with the
+//! recording's ground truth and context attached. Batch and streaming
+//! therefore share one code path and produce identical results.
+//!
+//! [`PipelineConfig::pool_threads`] is the only concurrency setting:
+//! `0` runs every session's extraction chunks and fusion on the shared
+//! global pool, `N` on a private pool of `N` workers. Results are
+//! bit-identical for every value.
 //!
 //! Identity bootstrap follows the paper's stance that the participant
 //! count and seating are *external information* (§II-D-1: "n is given
@@ -61,19 +65,14 @@ pub struct PipelineConfig {
     pub classify_emotions: bool,
     /// Run video composition analysis.
     pub parse_video: bool,
-    /// Process cameras on parallel threads.
-    pub parallel_cameras: bool,
-    /// Fan frame chunks *within* each camera across the shared
-    /// work-stealing pool (stage 3), and parallelize the per-frame
-    /// look-at/fusion loop (stage 4). Bit-identical to the sequential
-    /// path; disable only to bisect or benchmark.
-    pub frame_parallel: bool,
-    /// Worker threads for the work-stealing pool. `0` (the default)
-    /// shares the lazily-created global pool sized from
-    /// `available_parallelism` — the recommended setting, since one
-    /// shared pool avoids oversubscription no matter how many sessions
-    /// or cameras run at once. A non-zero value gives this session a
-    /// private pool of exactly that many workers.
+    /// Worker threads for the work-stealing pool that runs every
+    /// camera's extraction chunks (stage 3) and the per-frame
+    /// look-at/fusion work (stage 4). `0` (the default) shares the
+    /// lazily-created global pool sized from `available_parallelism` —
+    /// the recommended setting, since one shared pool avoids
+    /// oversubscription no matter how many sessions or cameras run at
+    /// once. A non-zero value gives this session a private pool of
+    /// exactly that many workers. Results are bit-identical either way.
     pub pool_threads: usize,
     /// Highlight detection settings.
     pub highlights: HighlightConfig,
@@ -103,8 +102,6 @@ impl Default for PipelineConfig {
             training_seed: 42,
             classify_emotions: true,
             parse_video: true,
-            parallel_cameras: true,
-            frame_parallel: true,
             pool_threads: 0,
             highlights: HighlightConfig::default(),
             importance: ImportanceConfig::default(),
@@ -203,10 +200,6 @@ impl PipelineConfigBuilder {
         classify_emotions: bool,
         /// Run video composition analysis.
         parse_video: bool,
-        /// Process cameras on parallel threads.
-        parallel_cameras: bool,
-        /// Fan frame chunks within each camera across the shared pool.
-        frame_parallel: bool,
         /// Worker threads for the pool (`0` = shared global pool).
         pool_threads: usize,
         /// Highlight detection settings.
@@ -345,56 +338,17 @@ impl DiEventPipeline {
     }
 
     /// Runs the full pipeline on a recording by driving a streaming
-    /// session to completion.
-    ///
-    /// With `parallel_cameras` set (and more than one camera), one
-    /// pusher thread per camera renders and feeds frames concurrently —
-    /// acquisition pipelines with extraction exactly as the live
-    /// deployment would. Otherwise frames are pushed inline,
-    /// deterministically, on the calling thread.
+    /// session to completion. The calling thread renders and pushes
+    /// every frame, frame-set by frame-set, while the session's camera
+    /// lanes extract in parallel.
     #[must_use = "dropping the result discards the whole analysis or its error"]
     pub fn run(&self, recording: &Recording) -> Result<EventAnalysis, DiEventError> {
         let mut session = self.session(&recording.scenario)?;
-        let frames = recording.frames();
-        let cameras = recording.cameras();
-
-        if self.config.parallel_cameras && cameras > 1 {
-            let feeds = session.take_feeds()?;
-            let pushed: Result<Vec<()>, DiEventError> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = feeds
-                    .into_iter()
-                    .map(|mut feed| {
-                        s.spawn(move |_| -> Result<(), DiEventError> {
-                            let camera = feed.camera().index();
-                            for f in 0..frames {
-                                feed.push(recording.frame(camera, f))?;
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(camera, handle)| {
-                        handle
-                            .join()
-                            .map_err(|_| DiEventError::CameraThreadPanicked {
-                                camera: Some(camera),
-                            })?
-                    })
-                    .collect()
-            })
-            .map_err(|_| DiEventError::CameraThreadPanicked { camera: None })?;
-            pushed?;
-        } else {
-            for f in 0..frames {
-                for c in 0..cameras {
-                    session.push_frame(c, recording.frame(c, f))?;
-                }
+        for f in 0..recording.frames() {
+            for c in 0..recording.cameras() {
+                session.push_frame(c, recording.frame(c, f))?;
             }
         }
-
         session.finish_with(FinishOptions {
             ground_truth: recording.lookat_truth(&self.config.lookat),
             context: recording.context.clone(),
@@ -445,25 +399,6 @@ mod tests {
             "look-at F1 too low: {:?}",
             analysis.validation
         );
-    }
-
-    #[test]
-    fn sequential_equals_parallel() {
-        let recording = short_recording();
-        let par = DiEventPipeline::new(quick_config())
-            .run(&recording)
-            .expect("parallel run");
-        let seq = DiEventPipeline::new(PipelineConfig {
-            parallel_cameras: false,
-            ..quick_config()
-        })
-        .run(&recording)
-        .expect("sequential run");
-        assert_eq!(
-            par.matrices, seq.matrices,
-            "camera parallelism must not change results"
-        );
-        assert_eq!(par.summary.rows(), seq.summary.rows());
     }
 
     #[test]
@@ -538,6 +473,26 @@ mod tests {
         assert_eq!(config.streaming.channel_capacity, 2);
         assert!(config.observe.trace_lineage);
         assert_eq!(config.observe.lineage_reservoir, 64);
+    }
+
+    #[test]
+    fn config_json_with_retired_keys_decodes_to_the_same_config() {
+        // An `OpenEvent` body from before the session had one execution
+        // path still carries two knobs it no longer has; unknown keys
+        // are ignored on decode.
+        let config = PipelineConfig::builder()
+            .classify_emotions(false)
+            .pool_threads(3)
+            .build()
+            .expect("valid");
+        let json = serde_json::to_string(&config).expect("encode");
+        let old = json.replacen(
+            '{',
+            r#"{"parallel_cameras":false,"frame_parallel":true,"#,
+            1,
+        );
+        let decoded: PipelineConfig = serde_json::from_str(&old).expect("decode");
+        assert_eq!(decoded, config);
     }
 
     #[test]

@@ -6,17 +6,28 @@
 //! instead of consuming a whole [`Recording`](crate::Recording) at
 //! once, callers push per-camera frames as they arrive
 //! ([`PipelineSession::push_frame`] or a detached [`CameraFeed`] per
-//! producer thread), and stage-3 feature extraction runs on one worker
-//! thread per camera, fed through **bounded channels with
-//! backpressure** ([`BackpressureMode::Block`] never sheds load;
+//! producer thread).
+//!
+//! Every session runs one execution path. Each camera has a lane: an
+//! OS thread named `dievent-cam-{c}`, fed through a **bounded channel
+//! with backpressure** ([`BackpressureMode::Block`] never sheds load;
 //! [`BackpressureMode::DropOldest`] sheds the stalest queued frame and
-//! counts the drop in telemetry). A sequencer fuses per-camera outputs
-//! into per-frame [`FrameAnalysis`] results, tolerating out-of-order
+//! counts the drop in telemetry). A lane takes whatever is queued as
+//! one batch, a batch of one included, and runs it in two phases.
+//! Phase A is pure (detection, landmarks, pose, recognition, emotion
+//! classification) and fans contiguous frame chunks over the session's
+//! work-stealing pool; a lone chunk runs inline on the lane. Phase B
+//! (tracking, pose carry-forward) integrates the results in frame
+//! order. A sequencer fuses per-camera outputs into per-frame
+//! [`FrameAnalysis`] results on the same pool, tolerating out-of-order
 //! camera arrival within a configurable reorder window, and
 //! [`PipelineSession::finish`] runs the remaining batch stages
 //! (smoothing, summary, parsing, metadata) to produce the same
-//! [`EventAnalysis`] the batch entry point returns. The batch path is
-//! a thin driver over this engine, so both share one code path.
+//! [`EventAnalysis`] the batch entry point returns.
+//!
+//! `pool_threads` is the one concurrency knob: `0` shares the global
+//! pool, `N` gives the session a private pool of `N` workers. Outputs
+//! are bit-identical for every setting.
 
 use crate::error::DiEventError;
 use crate::ids::CameraId;
@@ -75,7 +86,9 @@ pub struct StreamingConfig {
     /// Full-queue policy.
     pub backpressure: BackpressureMode,
     /// Maximum inter-camera skew, in frames, the sequencer waits out
-    /// before fusing a frame without its slowest cameras.
+    /// before fusing a frame without its slowest cameras. A frame whose
+    /// input a live camera lane has already taken in is waited for
+    /// regardless.
     pub reorder_window: usize,
 }
 
@@ -140,34 +153,10 @@ pub enum SessionInput {
     PoseObservations(Vec<CameraObservation>),
 }
 
-impl SessionInput {
-    /// Pairs the input with its per-camera frame index.
-    fn into_item(self, index: usize) -> WorkItem {
-        match self {
-            SessionInput::Frame(frame) => WorkItem::Frame(index, frame),
-            SessionInput::PoseObservations(obs) => WorkItem::Observations(index, obs),
-        }
-    }
-}
-
-/// Work travelling down a camera's input channel. Both kinds share the
-/// channel so per-camera FIFO ordering is preserved.
-enum WorkItem {
-    /// A raw frame for stage-3 feature extraction.
-    Frame(usize, GrayFrame),
-    /// Pre-extracted pose observations (an external tracker already ran
-    /// stage 3); passed through to the sequencer untouched.
-    Observations(usize, Vec<CameraObservation>),
-}
-
-impl WorkItem {
-    /// The per-camera frame index this item carries.
-    fn index(&self) -> usize {
-        match self {
-            WorkItem::Frame(index, _) | WorkItem::Observations(index, _) => *index,
-        }
-    }
-}
+/// One input on a camera lane's queue, paired with its per-camera
+/// frame index. Frames and pose observations share the queue, so
+/// per-camera FIFO order is preserved.
+type LaneInput = (usize, SessionInput);
 
 struct WorkerOutput {
     camera: usize,
@@ -187,12 +176,13 @@ pub struct CameraFeed {
     camera: usize,
     next_index: usize,
     mode: BackpressureMode,
-    tx: Sender<WorkItem>,
+    tx: Sender<LaneInput>,
     /// Eviction handle for drop-oldest mode.
-    rx: Receiver<WorkItem>,
+    rx: Receiver<LaneInput>,
     queue_depth: Gauge,
     dropped: Counter,
     lineage: LineageTracer,
+    vitals: Arc<SessionVitals>,
 }
 
 impl CameraFeed {
@@ -202,9 +192,46 @@ impl CameraFeed {
     /// item instead.
     #[must_use = "an ignored Err means the input was never enqueued"]
     pub fn push_input(&mut self, input: SessionInput) -> Result<(), DiEventError> {
+        let camera = self.camera;
         let index = self.next_index;
         self.next_index += 1;
-        self.enqueue(input.into_item(index))
+        // The ingest stamp marks the instant the producer offers the
+        // frame, so time spent blocked on a full queue is attributed
+        // to queue-wait.
+        self.lineage.ingest(camera, index as u64);
+        // Counted on offer, before a full queue can block the send, so
+        // the sequencer never evicts a frame whose input waits for a
+        // slot.
+        self.vitals.ingested[camera].store(self.next_index as u64, Ordering::Release);
+        let item = (index, input);
+        match self.mode {
+            BackpressureMode::Block => self
+                .tx
+                .send(item)
+                .map_err(|_| DiEventError::CameraThreadPanicked { camera })?,
+            BackpressureMode::DropOldest => {
+                let mut item = item;
+                loop {
+                    match self.tx.try_send(item) {
+                        Ok(()) => break,
+                        Err(TrySendError::Full(back)) => {
+                            item = back;
+                            // The worker may have raced us to the slot;
+                            // only count an actual eviction.
+                            if let Ok((evicted, _)) = self.rx.try_recv() {
+                                self.dropped.incr();
+                                self.lineage.discard(camera, evicted as u64);
+                            }
+                        }
+                        Err(TrySendError::Disconnected(_)) => {
+                            return Err(DiEventError::CameraThreadPanicked { camera });
+                        }
+                    }
+                }
+            }
+        }
+        self.queue_depth.set(self.tx.len() as f64);
+        Ok(())
     }
 
     /// Pushes the camera's next frame
@@ -236,47 +263,6 @@ impl CameraFeed {
     pub fn frames_pushed(&self) -> usize {
         self.next_index
     }
-
-    fn enqueue(&mut self, item: WorkItem) -> Result<(), DiEventError> {
-        let camera = self.camera;
-        // The ingest stamp marks the instant the producer offers the
-        // frame, so time spent blocked on a full queue is attributed
-        // to queue-wait.
-        self.lineage.ingest(camera, item.index() as u64);
-        match self.mode {
-            BackpressureMode::Block => {
-                self.tx
-                    .send(item)
-                    .map_err(|_| DiEventError::CameraThreadPanicked {
-                        camera: Some(camera),
-                    })?
-            }
-            BackpressureMode::DropOldest => {
-                let mut item = item;
-                loop {
-                    match self.tx.try_send(item) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(back)) => {
-                            item = back;
-                            // The worker may have raced us to the slot;
-                            // only count an actual eviction.
-                            if let Ok(evicted) = self.rx.try_recv() {
-                                self.dropped.incr();
-                                self.lineage.discard(camera, evicted.index() as u64);
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            return Err(DiEventError::CameraThreadPanicked {
-                                camera: Some(camera),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        self.queue_depth.set(self.tx.len() as f64);
-        Ok(())
-    }
 }
 
 /// The reorder-and-fuse stage: collects per-camera frame outputs,
@@ -288,10 +274,18 @@ struct Sequencer {
     reorder_window: usize,
     camera_poses: Vec<Iso3>,
     config: PipelineConfig,
+    /// Outputs of every camera lane.
+    outputs: Receiver<WorkerOutput>,
     /// Frame index → per-camera slots awaiting fusion.
     pending: BTreeMap<usize, Vec<Option<CameraFrameOutput>>>,
     /// Highest frame index seen from any camera.
     high_water: usize,
+    /// Highest frame index each camera's lane has returned.
+    returned: Vec<Option<usize>>,
+    /// Each lane's liveness, read just before the latest drain. A lane
+    /// clears its flag only after its last send, so a lane seen dead
+    /// then had nothing left in the output channel.
+    live: Vec<bool>,
     /// Lowest frame index not yet fused. Arrivals below it raced past
     /// the reorder window and are discarded (fusing them again would
     /// emit a frame twice, out of order).
@@ -303,13 +297,14 @@ struct Sequencer {
     emotion_frames: Vec<Vec<EmotionEstimate>>,
     /// Camera-0 monitor frames for video composition analysis.
     monitor: BTreeMap<usize, GrayFrame>,
-    /// Stage-4 fan-out pool (`None` when `frame_parallel` is off).
-    pool: Option<ThreadPool>,
+    /// Stage-4 fan-out pool.
+    pool: ThreadPool,
     /// Set when a pool task died mid-fusion; surfaced as
     /// [`DiEventError::PoolWorkerPanicked`] at finish.
     pool_panicked: bool,
     /// Mirror of `frontier` the observability heartbeat reads as the
-    /// `session.watermark_frame` gauge.
+    /// `session.watermark_frame` gauge, and the per-camera ingest
+    /// counts the feeds keep.
     vitals: Arc<SessionVitals>,
     lineage: LineageTracer,
     occupancy: Gauge,
@@ -321,9 +316,9 @@ struct Sequencer {
 }
 
 /// Minimum backlog of ready frames before stage-4 fusion fans out
-/// across the pool: below this, the join overhead outweighs the work
-/// (streaming sessions typically fuse one frame at a time; the batch
-/// path funnels the whole recording through one `fuse_ready(true)`).
+/// across the pool: below this the whole backlog is one chunk, which
+/// the pool runs inline, since the join overhead outweighs the work
+/// (streaming sessions typically fuse one frame at a time).
 const PARALLEL_FUSE_MIN: usize = 8;
 
 impl Sequencer {
@@ -333,9 +328,10 @@ impl Sequencer {
         participants: usize,
         camera_poses: Vec<Iso3>,
         config: PipelineConfig,
-        pool: Option<ThreadPool>,
+        pool: ThreadPool,
         vitals: Arc<SessionVitals>,
         lineage: LineageTracer,
+        outputs: Receiver<WorkerOutput>,
         telemetry: &Telemetry,
     ) -> Self {
         Sequencer {
@@ -348,8 +344,11 @@ impl Sequencer {
             reorder_window: config.streaming.reorder_window,
             camera_poses,
             config,
+            outputs,
             pending: BTreeMap::new(),
             high_water: 0,
+            returned: vec![None; cameras],
+            live: vec![true; cameras],
             frontier: 0,
             frame_numbers: Vec::new(),
             cameras_reporting: Vec::new(),
@@ -365,7 +364,18 @@ impl Sequencer {
         }
     }
 
+    /// Takes in every lane output that has arrived so far.
+    fn drain(&mut self) {
+        for (live, alive) in self.live.iter_mut().zip(&self.vitals.cameras_alive) {
+            *live = alive.load(Ordering::Acquire);
+        }
+        while let Ok(out) = self.outputs.try_recv() {
+            self.insert(out);
+        }
+    }
+
     fn insert(&mut self, out: WorkerOutput) {
+        self.returned[out.camera] = self.returned[out.camera].max(Some(out.index));
         if let Some(frame) = out.monitor {
             self.monitor.insert(out.index, frame);
         }
@@ -386,21 +396,30 @@ impl Sequencer {
     /// Fuses every frame that is complete — or, when `force` is set or
     /// the leader camera has raced more than `reorder_window` frames
     /// ahead, fuses the oldest pending frame with whichever cameras
-    /// reported. Results always accumulate in ascending frame order.
+    /// reported. A frame that a live lane has ingested but not yet
+    /// returned is never overdue. Results always accumulate in
+    /// ascending frame order.
     ///
     /// The per-frame math ([`fuse_one`](Self::fuse_one)) carries no
-    /// cross-frame state, so when enough frames are ready at once (the
-    /// batch path fuses the entire recording in one call at finish)
-    /// they fan out across the pool; results are collected into
-    /// positional slots, which makes the parallel and sequential
-    /// orders bit-identical.
+    /// cross-frame state, so the ready frames fan out across the pool in
+    /// chunks (one inline chunk below [`PARALLEL_FUSE_MIN`]); results
+    /// are collected into positional slots, so the order is the same
+    /// however the chunks are scheduled.
     fn fuse_ready(&mut self, force: bool) {
         let mut ready: Vec<(usize, Vec<Option<CameraFrameOutput>>, usize)> = Vec::new();
         while let Some(entry) = self.pending.first_entry() {
             let frame = *entry.key();
             let arrived = entry.get().iter().filter(|s| s.is_some()).count();
             let complete = arrived == self.cameras;
-            let overdue = self.high_water.saturating_sub(frame) > self.reorder_window;
+            // A frame that a live lane has ingested but returned nothing
+            // at or past is not overdue: its input is queued or being
+            // extracted.
+            let overdue = self.high_water.saturating_sub(frame) > self.reorder_window
+                && !(0..self.cameras).any(|c| {
+                    self.live[c]
+                        && self.vitals.ingested[c].load(Ordering::Acquire) > frame as u64
+                        && self.returned[c].is_none_or(|r| r < frame)
+                });
             if !(complete || overdue || force) {
                 break;
             }
@@ -422,34 +441,17 @@ impl Sequencer {
         // Each frame's fusion is bracketed with lineage stamps (noops
         // when tracing is off) so the waterfall records the fuse span
         // even when frames fan out across the pool.
-        type Fused = (f64, (LookAtMatrix, Vec<EmotionEstimate>), f64);
-        let fused: Vec<Fused> = match &self.pool {
-            Some(pool) if ready.len() >= PARALLEL_FUSE_MIN => {
-                let chunk = ready.len().div_ceil(pool.threads().max(1) * 4).max(1);
-                let result = pool.parallel_chunk_map(&ready, chunk, |_, chunk_items| {
-                    // One look-at scratch per chunk, reused across its
-                    // frames.
-                    let mut scratch = LookAtScratch::new();
-                    chunk_items
-                        .iter()
-                        .map(|(_, slots, _)| {
-                            let t0 = self.lineage.now_s();
-                            let out = self.fuse_one(slots, &mut scratch);
-                            (t0, out, self.lineage.now_s())
-                        })
-                        .collect()
-                });
-                match result {
-                    Ok(fused) => fused,
-                    Err(_) => {
-                        self.pool_panicked = true;
-                        return;
-                    }
-                }
-            }
-            _ => {
+        let chunk = if ready.len() < PARALLEL_FUSE_MIN {
+            ready.len()
+        } else {
+            ready.len().div_ceil(self.pool.threads().max(1) * 4)
+        };
+        let fused = self
+            .pool
+            .parallel_chunk_map(&ready, chunk, |_, chunk_items| {
+                // One look-at scratch per chunk, reused across its frames.
                 let mut scratch = LookAtScratch::new();
-                ready
+                chunk_items
                     .iter()
                     .map(|(_, slots, _)| {
                         let t0 = self.lineage.now_s();
@@ -457,7 +459,10 @@ impl Sequencer {
                         (t0, out, self.lineage.now_s())
                     })
                     .collect()
-            }
+            });
+        let Ok(fused) = fused else {
+            self.pool_panicked = true;
+            return;
         };
 
         let n = self.participants;
@@ -532,16 +537,14 @@ impl Sequencer {
     }
 }
 
-/// Per-camera state shared between the threaded worker and the inline
-/// (single-threaded) execution mode.
 /// Classifies one frame's identified faces in a single batched pass
 /// through this worker's [`ExtractArena`], returning the session's
 /// `(person, probabilities, confidence, radius)` tuples in face order.
 ///
 /// Bit-identical per face to the scalar `classify_with` path (the
 /// batched kernels keep the scalar operation order per sample — see
-/// `dievent-emotion`), so both the inline and the pool-fanned Phase-A
-/// paths route through here without affecting determinism.
+/// `dievent-emotion`), so how a lane's batch is chunked never changes
+/// a probability.
 fn classify_identified(
     clf: &EmotionClassifier,
     faces: &[(usize, f64, &GrayFrame)],
@@ -562,60 +565,6 @@ fn classify_identified(
             })
             .collect()
     })
-}
-
-/// The pure Phase-A body for one contiguous frame chunk: analyze,
-/// then batch-classify every identified face, on whatever pool worker
-/// picked the task up. Opens the `camera.extract_chunk` span —
-/// `lint.toml` names this function under `telemetry_coverage`, so a
-/// refactor that drops the span fails the lint, not just the dashboards.
-#[allow(clippy::too_many_arguments)]
-fn extract_chunk(
-    telemetry: &Telemetry,
-    parent_span: Option<u64>,
-    camera_index: usize,
-    monitor_on: bool,
-    lineage: &LineageTracer,
-    extractor: Option<&FeatureExtractor>,
-    classifier: Option<&EmotionClassifier>,
-    arena: &WorkerLocal<ExtractArena>,
-    offset: usize,
-    chunk_items: &[WorkItem],
-) -> Vec<Option<Analyzed>> {
-    let mut span = telemetry.span_under("camera.extract_chunk", parent_span);
-    span.set("camera", camera_index);
-    span.set("offset", offset);
-    span.set("frames", chunk_items.len());
-    chunk_items
-        .iter()
-        .map(|item| {
-            let WorkItem::Frame(index, frame) = item else {
-                return None;
-            };
-            // Compute starts here, on the pool task; the matching end
-            // stamp lands in `integrate_analyzed`, covering the
-            // stateful tail of extraction too.
-            lineage.extract_start(camera_index, *index as u64);
-            let extractor = extractor?;
-            let monitor = monitor_on.then(|| frame.downsample2().downsample2());
-            let raw = extractor.analyze(frame);
-            let emotions = match classifier {
-                Some(clf) => {
-                    let faces: Vec<(usize, f64, &GrayFrame)> = raw
-                        .identified_faces()
-                        .map(|(person, radius, patch)| (person.0, radius, patch))
-                        .collect();
-                    classify_identified(clf, &faces, arena)
-                }
-                None => Vec::new(),
-            };
-            Some(Analyzed {
-                raw,
-                monitor,
-                emotions,
-            })
-        })
-        .collect()
 }
 
 struct CameraStage {
@@ -669,169 +618,90 @@ impl CameraStage {
         }
     }
 
-    /// Enrolls participants from the camera's first frame, associating
-    /// detections to seats by projected position (the paper's §II-D-1
-    /// external seating plan), then returns the ready extractor.
-    fn extractor_for(&mut self, first_frame: &GrayFrame) -> &mut FeatureExtractor {
-        let extractor = if let Some(extractor) = self.extractor.take() {
-            extractor
-        } else {
-            let mut extractor =
-                FeatureExtractor::new(self.config, self.camera, FaceGallery::default());
-            extractor.attach_telemetry(&self.telemetry, &self.camera_index.to_string());
-            let mut probe = FeatureExtractor::new(self.config, self.camera, FaceGallery::default());
-            let obs = probe.process(first_frame);
-            for o in obs {
-                let mut best: Option<(usize, f64)> = None;
-                for &(person, seat_head) in self.seats.iter() {
-                    if let Some(proj) = self.camera.project(seat_head) {
-                        let d =
-                            (proj.pixel.x - o.detection.cx).hypot(proj.pixel.y - o.detection.cy);
-                        if best.is_none_or(|(_, bd)| d < bd) {
-                            best = Some((person, d));
-                        }
-                    }
-                }
-                if let (Some((person, d)), Some(patch)) = (best, o.patch.as_ref()) {
-                    // Only trust unambiguous associations.
-                    if d < o.detection.radius * 2.0 {
-                        extractor
-                            .gallery_mut()
-                            .enroll(PersonId(person), &o.detection, patch);
+    /// Builds the camera's extractor from its first raw frame, enrolling
+    /// participants by associating that frame's detections to seats by
+    /// projected position (the paper's §II-D-1 external seating plan).
+    fn build_extractor(&mut self, first_frame: &GrayFrame) {
+        let mut extractor = FeatureExtractor::new(self.config, self.camera, FaceGallery::default());
+        // The probe runs before telemetry is attached: every face misses
+        // the still-empty gallery, and those misses are not
+        // `identity_misses`.
+        let probe = extractor.analyze(first_frame);
+        for (detection, _, patch) in probe.faces() {
+            let mut best: Option<(usize, f64)> = None;
+            for &(person, seat_head) in self.seats.iter() {
+                if let Some(proj) = self.camera.project(seat_head) {
+                    let d = (proj.pixel.x - detection.cx).hypot(proj.pixel.y - detection.cy);
+                    if best.is_none_or(|(_, bd)| d < bd) {
+                        best = Some((person, d));
                     }
                 }
             }
-            extractor
-        };
-        self.extractor.insert(extractor)
-    }
-
-    /// Runs stage-3 extraction on one frame (or passes observations
-    /// through), producing the sequencer's input.
-    fn process(&mut self, item: WorkItem) -> WorkerOutput {
-        let frame = item.index() as u64;
-        self.lineage.extract_start(self.camera_index, frame);
-        let output = self.process_inner(item);
-        self.lineage.extract_end(self.camera_index, frame);
-        output
-    }
-
-    fn process_inner(&mut self, item: WorkItem) -> WorkerOutput {
-        match item {
-            WorkItem::Observations(index, observations) => WorkerOutput {
-                camera: self.camera_index,
-                index,
-                output: CameraFrameOutput {
-                    observations,
-                    emotions: Vec::new(),
-                },
-                monitor: None,
-            },
-            WorkItem::Frame(index, frame) => {
-                let monitor = self
-                    .monitor
-                    // Quarter-resolution monitor stream for parsing.
-                    .then(|| frame.downsample2().downsample2());
-                let classifier = Arc::clone(&self.classifier);
-                let (obs, camera) = {
-                    let extractor = self.extractor_for(&frame);
-                    let obs = extractor.process(&frame);
-                    (obs, *extractor.camera())
-                };
-                let observations = self.assemble(&camera, &obs);
-                let emotions = match classifier.as_ref() {
-                    Some(clf) => {
-                        let faces: Vec<(usize, f64, &GrayFrame)> = obs
-                            .iter()
-                            .filter_map(|o| {
-                                let (person, _dist) = o.identity?;
-                                let patch = o.patch.as_ref()?;
-                                Some((person.0, o.detection.radius, patch))
-                            })
-                            .collect();
-                        let emotions = classify_identified(clf, &faces, &self.arena);
-                        self.classified.add(emotions.len() as u64);
-                        emotions
-                    }
-                    None => Vec::new(),
-                };
-                self.frames += 1;
-                WorkerOutput {
-                    camera: self.camera_index,
-                    index,
-                    output: CameraFrameOutput {
-                        observations,
-                        emotions,
-                    },
-                    monitor,
+            // Only trust unambiguous associations.
+            if let Some((person, d)) = best {
+                if d < detection.radius * 2.0 {
+                    extractor
+                        .gallery_mut()
+                        .enroll(PersonId(person), detection, patch);
                 }
             }
         }
+        extractor.attach_telemetry(&self.telemetry, &self.camera_index.to_string());
+        self.extractor = Some(extractor);
     }
 
-    /// Batch counterpart of [`process`](Self::process): the pure
-    /// per-frame phase (detection, landmarks, pose, recognition,
-    /// emotion classification) fans frame chunks across the pool, then
-    /// the stateful phase (tracker, pose carry-forward) integrates the
-    /// results sequentially in item order. Bit-identical to calling
-    /// `process` once per item, because the pure phase carries no
-    /// cross-frame state and the stateful phase runs in the exact same
-    /// order either way.
+    /// Runs one batch of the lane's inputs — a batch of one included —
+    /// in two phases. Phase A (pure: detection, landmarks, pose,
+    /// recognition, emotion classification) fans contiguous frame
+    /// chunks across the pool; a lone chunk runs inline. Phase B
+    /// (stateful: tracker, pose carry-forward) integrates the results
+    /// in input order, and pose observations pass through. Outputs do
+    /// not depend on how inputs were batched, because Phase A carries
+    /// no cross-frame state and Phase B runs in input order.
     fn process_batch(
         &mut self,
         pool: &ThreadPool,
-        items: Vec<WorkItem>,
+        items: Vec<LaneInput>,
         parent_span: Option<u64>,
     ) -> Result<Vec<WorkerOutput>, DiEventError> {
-        // Phase 0 (sequential): the batch's first raw frame runs the
-        // enrollment probe and builds the extractor, exactly as the
-        // one-frame path would on its first frame.
+        // The camera's first raw frame builds the extractor.
         if self.extractor.is_none() {
-            if let Some(WorkItem::Frame(_, frame)) =
-                items.iter().find(|i| matches!(i, WorkItem::Frame(..)))
-            {
-                self.extractor_for(frame);
+            if let Some(frame) = items.iter().find_map(|(_, input)| match input {
+                SessionInput::Frame(frame) => Some(frame),
+                SessionInput::PoseObservations(_) => None,
+            }) {
+                self.build_extractor(frame);
             }
         }
 
-        // Phase A (parallel, pure): analyze + classify, one task per
-        // contiguous frame chunk so scratch buffers are reused across
-        // a chunk's frames instead of reallocated per frame.
+        // Phase A (pure): one task per contiguous frame chunk, so
+        // scratch buffers are reused across a chunk's frames instead of
+        // reallocated per frame.
         let chunk = items.len().div_ceil(pool.threads().max(1) * 2).max(1);
-        let extractor = self.extractor.as_ref();
-        let classifier = Arc::clone(&self.classifier);
-        let telemetry = self.telemetry.clone();
-        let lineage = self.lineage.clone();
-        let camera_index = self.camera_index;
-        let monitor_on = self.monitor;
-        let arena = &self.arena;
+        let pooled = items.len() > chunk;
         let analyzed: Vec<Option<Analyzed>> = pool
             .parallel_chunk_map(&items, chunk, |offset, chunk_items| {
-                extract_chunk(
-                    &telemetry,
-                    parent_span,
-                    camera_index,
-                    monitor_on,
-                    &lineage,
-                    extractor,
-                    classifier.as_ref().as_ref(),
-                    arena,
-                    offset,
-                    chunk_items,
-                )
+                self.extract_chunk(pooled, parent_span, offset, chunk_items)
             })
             .map_err(|_| DiEventError::PoolWorkerPanicked)?;
 
-        // Phase B (sequential, in item order): the tracker and the
-        // pose-carry cache advance exactly as the one-frame path would.
+        // Phase B (stateful, in input order).
         let mut outputs = Vec::with_capacity(items.len());
-        for (item, analyzed) in items.into_iter().zip(analyzed) {
-            match (item, analyzed) {
-                (WorkItem::Observations(index, observations), _) => {
-                    // Pass-through: extraction is a zero-width span.
+        for ((index, input), analyzed) in items.into_iter().zip(analyzed) {
+            outputs.push(match (input, analyzed) {
+                (SessionInput::Frame(_), Some(done)) => self.integrate_analyzed(index, done),
+                // Pose observations pass through: extraction is a
+                // zero-width span. A frame lands here only without an
+                // extractor, which the camera's first raw frame always
+                // builds.
+                (input, _) => {
                     self.lineage.extract_start(self.camera_index, index as u64);
                     self.lineage.extract_end(self.camera_index, index as u64);
-                    outputs.push(WorkerOutput {
+                    let observations = match input {
+                        SessionInput::PoseObservations(observations) => observations,
+                        SessionInput::Frame(_) => Vec::new(),
+                    };
+                    WorkerOutput {
                         camera: self.camera_index,
                         index,
                         output: CameraFrameOutput {
@@ -839,17 +709,68 @@ impl CameraStage {
                             emotions: Vec::new(),
                         },
                         monitor: None,
-                    })
+                    }
                 }
-                (WorkItem::Frame(index, _), Some(done)) => {
-                    outputs.push(self.integrate_analyzed(index, done));
-                }
-                // Unreachable (phase 0 guarantees an extractor whenever
-                // the batch holds a frame); degrade to the slow path.
-                (item @ WorkItem::Frame(..), None) => outputs.push(self.process(item)),
-            }
+            });
         }
         Ok(outputs)
+    }
+
+    /// The Phase-A body for one contiguous chunk of a batch: analyze,
+    /// then batch-classify every identified face, on whatever thread
+    /// runs the chunk. A chunk that runs as a pool task opens a
+    /// `camera.extract_chunk` span; a lone chunk runs inline and opens
+    /// none, because a telemetry domain keeps every span record for its
+    /// whole life. `lint.toml` names this function under
+    /// `telemetry_coverage`, so a refactor that drops the span fails
+    /// the lint, not just the dashboards.
+    fn extract_chunk(
+        &self,
+        pooled: bool,
+        parent_span: Option<u64>,
+        offset: usize,
+        chunk_items: &[LaneInput],
+    ) -> Vec<Option<Analyzed>> {
+        let _span = pooled.then(|| {
+            let mut span = self
+                .telemetry
+                .span_under("camera.extract_chunk", parent_span);
+            span.set("camera", self.camera_index);
+            span.set("offset", offset);
+            span.set("frames", chunk_items.len());
+            span
+        });
+        chunk_items
+            .iter()
+            .map(|(index, input)| {
+                let SessionInput::Frame(frame) = input else {
+                    return None;
+                };
+                // Compute starts here; the matching end stamp lands in
+                // `integrate_analyzed`, covering the stateful tail of
+                // extraction too.
+                self.lineage.extract_start(self.camera_index, *index as u64);
+                let extractor = self.extractor.as_ref()?;
+                // Quarter-resolution monitor stream for parsing.
+                let monitor = self.monitor.then(|| frame.downsample2().downsample2());
+                let raw = extractor.analyze(frame);
+                let emotions = match self.classifier.as_ref() {
+                    Some(clf) => {
+                        let faces: Vec<(usize, f64, &GrayFrame)> = raw
+                            .identified_faces()
+                            .map(|(person, radius, patch)| (person.0, radius, patch))
+                            .collect();
+                        classify_identified(clf, &faces, &self.arena)
+                    }
+                    None => Vec::new(),
+                };
+                Some(Analyzed {
+                    raw,
+                    monitor,
+                    emotions,
+                })
+            })
+            .collect()
     }
 
     /// Stateful phase for one [`Analyzed`] frame: integrates the pure
@@ -918,13 +839,13 @@ impl CameraStage {
 }
 
 /// One frame's pure-phase result inside
-/// [`CameraStage::process_batch`]: everything computed off-thread,
-/// ready for sequential integration.
+/// [`CameraStage::process_batch`]: everything computed in Phase A,
+/// ready for in-order integration.
 struct Analyzed {
     raw: FrameRaw,
     monitor: Option<GrayFrame>,
     /// `(person, probabilities, confidence, apparent_radius)`, in face
-    /// order — identical to what the one-frame path classifies.
+    /// order.
     emotions: Vec<(usize, Vec<f64>, f64, f64)>,
 }
 
@@ -935,8 +856,8 @@ const WORKER_POLL: Duration = Duration::from_millis(50);
 fn camera_worker(
     mut stage: CameraStage,
     stage_span: Option<u64>,
-    pool: Option<ThreadPool>,
-    rx: Receiver<WorkItem>,
+    pool: ThreadPool,
+    rx: Receiver<LaneInput>,
     out: Sender<WorkerOutput>,
     shutdown: Arc<AtomicBool>,
     pool_panic: Arc<AtomicBool>,
@@ -948,23 +869,14 @@ fn camera_worker(
     loop {
         match rx.recv_timeout(WORKER_POLL) {
             Ok(item) => {
-                // Opportunistically batch whatever else is already
-                // queued: with the pool available, a backlog fans out
-                // as frame chunks instead of draining one by one.
+                // Batch whatever else is already queued: a backlog fans
+                // out across the pool as frame chunks instead of
+                // draining one by one.
                 let mut batch = vec![item];
-                if pool.is_some() {
-                    while let Ok(next) = rx.try_recv() {
-                        batch.push(next);
-                    }
+                while let Ok(next) = rx.try_recv() {
+                    batch.push(next);
                 }
-                if !run_batch(
-                    &mut stage,
-                    pool.as_ref(),
-                    batch,
-                    chunk_parent,
-                    &out,
-                    &pool_panic,
-                ) {
+                if !run_batch(&mut stage, &pool, batch, chunk_parent, &out, &pool_panic) {
                     break;
                 }
             }
@@ -978,14 +890,7 @@ fn camera_worker(
                         batch.push(item);
                     }
                     if !batch.is_empty() {
-                        run_batch(
-                            &mut stage,
-                            pool.as_ref(),
-                            batch,
-                            chunk_parent,
-                            &out,
-                            &pool_panic,
-                        );
+                        run_batch(&mut stage, &pool, batch, chunk_parent, &out, &pool_panic);
                     }
                     break;
                 }
@@ -995,27 +900,20 @@ fn camera_worker(
     span.set("frames", stage.frames);
 }
 
-/// Processes one batch — through the pool when it is available and the
-/// batch holds more than one item, per-item otherwise — and forwards
-/// the outputs. Returns `false` when the session hung up or a pool
-/// task panicked (recorded in `pool_panic` for finish to surface).
+/// Processes one batch and forwards the outputs. Returns `false` when
+/// the session hung up or a pool task panicked (recorded in
+/// `pool_panic` for finish to surface).
 fn run_batch(
     stage: &mut CameraStage,
-    pool: Option<&ThreadPool>,
-    batch: Vec<WorkItem>,
+    pool: &ThreadPool,
+    batch: Vec<LaneInput>,
     chunk_parent: Option<u64>,
     out: &Sender<WorkerOutput>,
     pool_panic: &AtomicBool,
 ) -> bool {
-    let outputs = match pool {
-        Some(pool) if batch.len() > 1 => match stage.process_batch(pool, batch, chunk_parent) {
-            Ok(outputs) => outputs,
-            Err(_) => {
-                pool_panic.store(true, Ordering::SeqCst);
-                return false;
-            }
-        },
-        _ => batch.into_iter().map(|item| stage.process(item)).collect(),
+    let Ok(outputs) = stage.process_batch(pool, batch, chunk_parent) else {
+        pool_panic.store(true, Ordering::SeqCst);
+        return false;
     };
     for output in outputs {
         // A send failure means the session is gone; processing further
@@ -1027,20 +925,6 @@ fn run_batch(
     true
 }
 
-enum ExecutionMode {
-    /// One worker thread per camera, fed by bounded channels.
-    Threaded {
-        workers: Vec<std::thread::JoinHandle<()>>,
-        out_rx: Receiver<WorkerOutput>,
-    },
-    /// Everything on the caller's thread (`parallel_cameras: false` or
-    /// a single camera): deterministic and thread-free.
-    Inline {
-        stages: Vec<CameraStage>,
-        spans: Vec<SpanGuard>,
-    },
-}
-
 /// A live streaming analysis session. See the [module](self) docs.
 pub struct PipelineSession {
     config: PipelineConfig,
@@ -1050,20 +934,18 @@ pub struct PipelineSession {
     participants: usize,
     cameras: usize,
     fps: f64,
-    mode: ExecutionMode,
+    /// One extraction lane thread per camera.
+    lanes: Vec<std::thread::JoinHandle<()>>,
     /// Internal feeds for [`push_frame`](Self::push_frame); `None` once
-    /// taken or closed. Empty in inline mode.
+    /// taken or closed.
     feeds: Vec<Option<CameraFeed>>,
-    /// Per-camera next frame index for the inline path.
-    inline_next: Vec<usize>,
     sequencer: Sequencer,
     /// Cursor into the sequencer's accumulators for [`poll`](Self::poll).
     emitted: usize,
     shutdown: Arc<AtomicBool>,
-    /// The frame-parallel fan-out pool: the shared global pool by
-    /// default (`pool_threads: 0`), a private one otherwise, `None`
-    /// when `frame_parallel` is off.
-    pool: Option<ThreadPool>,
+    /// The session's work-stealing pool: the shared global pool by
+    /// default (`pool_threads: 0`), a private one otherwise.
+    pool: ThreadPool,
     /// Cursor over the pool's monotonic counters: the heartbeat
     /// publishes incremental deltas mid-run, finish publishes the
     /// remainder — each increment counted exactly once.
@@ -1092,9 +974,9 @@ impl DiEventPipeline {
     ///
     /// Validates the configuration (including the streaming settings)
     /// and the scenario shape: at least one camera, a positive frame
-    /// rate. With `parallel_cameras` set and more than one camera, one
-    /// extraction worker thread is spawned per camera; otherwise the
-    /// session runs inline on the calling thread.
+    /// rate. Spawns one extraction lane thread per camera, named
+    /// `dievent-cam-{c}`; a failed spawn returns
+    /// [`DiEventError::CameraThreadSpawn`].
     #[must_use = "dropping the result discards the opened session or its error"]
     pub fn session(&self, scenario: &Scenario) -> Result<PipelineSession, DiEventError> {
         PipelineSession::open(self, scenario)
@@ -1137,19 +1019,15 @@ impl PipelineSession {
         );
         let classifier = Arc::new(pipeline.classifier().cloned());
         let camera_poses: Vec<Iso3> = scenario.rig.cameras.iter().map(|c| c.pose).collect();
-        // One pool shared by every camera worker (and stage-4 fusion):
+        // One pool shared by every camera lane (and stage-4 fusion):
         // N cameras fanning frame chunks produce tasks for a single
         // set of workers, never `cameras × threads` threads.
-        let pool = config.frame_parallel.then(|| {
-            if config.pool_threads == 0 {
-                ThreadPool::global().clone()
-            } else {
-                ThreadPool::new(config.pool_threads)
-            }
-        });
-        let pool_cursor = Arc::new(PoolCursor::new(
-            pool.as_ref().map(ThreadPool::stats).unwrap_or_default(),
-        ));
+        let pool = if config.pool_threads == 0 {
+            ThreadPool::global().clone()
+        } else {
+            ThreadPool::new(config.pool_threads)
+        };
+        let pool_cursor = Arc::new(PoolCursor::new(pool.stats()));
         let pool_panic = Arc::new(AtomicBool::new(false));
         let vitals = Arc::new(SessionVitals::new(cameras));
         let lineage = if config.observe.trace_lineage {
@@ -1157,6 +1035,7 @@ impl PipelineSession {
         } else {
             LineageTracer::disabled()
         };
+        let (out_tx, out_rx) = channel::unbounded();
         let sequencer = Sequencer::new(
             cameras,
             participants,
@@ -1165,12 +1044,29 @@ impl PipelineSession {
             pool.clone(),
             Arc::clone(&vitals),
             lineage.clone(),
+            out_rx,
             &telemetry,
         );
         let shutdown = Arc::new(AtomicBool::new(false));
 
-        let stage_for = |c: usize| {
-            CameraStage::new(
+        let mut lanes = Vec::with_capacity(cameras);
+        let mut feeds = Vec::with_capacity(cameras);
+        for c in 0..cameras {
+            let (tx, rx) = channel::bounded(config.streaming.channel_capacity);
+            let label = c.to_string();
+            let labels = &[("camera", label.as_str())][..];
+            feeds.push(Some(CameraFeed {
+                camera: c,
+                next_index: 0,
+                mode: config.streaming.backpressure,
+                tx,
+                rx: rx.clone(),
+                queue_depth: telemetry.gauge_with("session.queue_depth", labels),
+                dropped: telemetry.counter_with("session.frames_dropped", labels),
+                lineage: lineage.clone(),
+                vitals: Arc::clone(&vitals),
+            }));
+            let stage = CameraStage::new(
                 c,
                 scenario.rig.cameras[c],
                 config.extractor,
@@ -1179,78 +1075,60 @@ impl PipelineSession {
                 telemetry.clone(),
                 c == 0 && config.parse_video,
                 lineage.clone(),
-            )
-        };
-
-        let threaded = config.parallel_cameras && cameras > 1;
-        let (mode, feeds) = if threaded {
-            let (out_tx, out_rx) = channel::unbounded();
-            let mut workers = Vec::with_capacity(cameras);
-            let mut feeds = Vec::with_capacity(cameras);
-            for c in 0..cameras {
-                let (tx, rx) = channel::bounded(config.streaming.channel_capacity);
-                let label = c.to_string();
-                let labels = &[("camera", label.as_str())][..];
-                feeds.push(Some(CameraFeed {
-                    camera: c,
-                    next_index: 0,
-                    mode: config.streaming.backpressure,
-                    tx,
-                    rx: rx.clone(),
-                    queue_depth: telemetry.gauge_with("session.queue_depth", labels),
-                    dropped: telemetry.counter_with("session.frames_dropped", labels),
-                    lineage: lineage.clone(),
-                }));
-                let stage = stage_for(c);
-                let out = out_tx.clone();
-                let flag = Arc::clone(&shutdown);
-                let worker_pool = pool.clone();
-                let panic_flag = Arc::clone(&pool_panic);
-                let alive = CameraAliveGuard {
-                    flag: Arc::clone(&vitals),
-                    camera: c,
-                };
-                workers.push(std::thread::spawn(move || {
+            );
+            let out = out_tx.clone();
+            let flag = Arc::clone(&shutdown);
+            let lane_pool = pool.clone();
+            let panic_flag = Arc::clone(&pool_panic);
+            let alive = CameraAliveGuard {
+                flag: Arc::clone(&vitals),
+                camera: c,
+            };
+            let spawned = std::thread::Builder::new()
+                .name(format!("dievent-cam-{c}"))
+                .spawn(move || {
                     // The guard clears this camera's liveness flag on
                     // any exit path, including an unwind.
                     let _alive = alive;
-                    camera_worker(stage, stage_id, worker_pool, rx, out, flag, panic_flag)
-                }));
+                    camera_worker(stage, stage_id, lane_pool, rx, out, flag, panic_flag)
+                });
+            match spawned {
+                Ok(lane) => lanes.push(lane),
+                Err(e) => {
+                    // Disconnect the lanes already running so they
+                    // exit, then join them before reporting.
+                    drop(feeds);
+                    for lane in lanes {
+                        let _ = lane.join();
+                    }
+                    return Err(DiEventError::CameraThreadSpawn {
+                        camera: c,
+                        message: e.to_string(),
+                    });
+                }
             }
-            // Only workers hold output senders: once they all exit the
-            // channel disconnects and drains cleanly.
-            drop(out_tx);
-            (ExecutionMode::Threaded { workers, out_rx }, feeds)
-        } else {
-            let stages: Vec<CameraStage> = (0..cameras).map(stage_for).collect();
-            let spans = (0..cameras)
-                .map(|c| {
-                    let mut span = telemetry.span_under("camera.extract", stage_id);
-                    span.set("camera", c);
-                    span
-                })
-                .collect();
-            (ExecutionMode::Inline { stages, spans }, Vec::new())
-        };
+        }
+        // Only lanes hold output senders: once they all exit the
+        // channel disconnects and drains cleanly.
+        drop(out_tx);
 
-        // Start the observability plane last, once the workers it
-        // reports on exist. The heartbeat runs on the sampler thread
-        // before every rate window: vitals gauges, incremental pool
-        // deltas, and a readiness downgrade if a camera worker died or
-        // a pool task panicked.
+        // Start the observability plane last, once the lanes it reports
+        // on exist. The heartbeat runs on the sampler thread before
+        // every rate window: vitals gauges, incremental pool deltas,
+        // and a readiness downgrade if a camera lane died or a pool
+        // task panicked.
         let plane = if config.observe.is_active() {
             let hb_telemetry = telemetry.clone();
             let hb_vitals = Arc::clone(&vitals);
             let hb_pool = pool.clone();
             let hb_cursor = Arc::clone(&pool_cursor);
             let hb_panic = Arc::clone(&pool_panic);
-            let hb_threaded = threaded;
             // The heartbeat borrows its probe per call instead of
             // owning one: an owned probe would cycle the plane's
             // shared state through its own callback, keeping the pool
             // handle below (and the pool's worker threads) alive past
             // session drop. Wiring it at start — with readiness
-            // already true, since the workers above exist — means the
+            // already true, since the lanes above exist — means the
             // first sampler tick carries the gauges and `/readyz`
             // never reports 503 for an open session.
             let plane = LivePlane::start_with_heartbeat(
@@ -1263,11 +1141,8 @@ impl PipelineSession {
                 true,
                 move |probe| {
                     hb_vitals.publish(&hb_telemetry);
-                    if let Some(pool) = &hb_pool {
-                        hb_cursor.publish(&hb_telemetry, pool);
-                    }
-                    let healthy = (!hb_threaded || hb_vitals.all_cameras_alive())
-                        && !hb_panic.load(Ordering::SeqCst);
+                    hb_cursor.publish(&hb_telemetry, &hb_pool);
+                    let healthy = hb_vitals.all_cameras_alive() && !hb_panic.load(Ordering::SeqCst);
                     if !healthy {
                         probe.set_ready(false);
                     }
@@ -1297,9 +1172,8 @@ impl PipelineSession {
             participants,
             cameras,
             fps,
-            mode,
+            lanes,
             feeds,
-            inline_next: vec![0; cameras],
             sequencer,
             emitted: 0,
             shutdown,
@@ -1327,18 +1201,12 @@ impl PipelineSession {
     }
 
     /// Detaches one feed per camera so independent producer threads can
-    /// push concurrently. Errors in inline mode
-    /// (`parallel_cameras: false`), where there are no queues to feed.
-    /// After detaching, [`push_frame`](Self::push_frame) on this
-    /// session returns [`DiEventError::SessionClosed`]; drop the feeds
-    /// (or call [`finish`](Self::finish)) to end the streams.
+    /// push concurrently. After detaching,
+    /// [`push_frame`](Self::push_frame) on this session returns
+    /// [`DiEventError::SessionClosed`]; drop the feeds (or call
+    /// [`finish`](Self::finish)) to end the streams.
     #[must_use = "dropping the detached feeds immediately ends every camera stream"]
     pub fn take_feeds(&mut self) -> Result<Vec<CameraFeed>, DiEventError> {
-        if matches!(self.mode, ExecutionMode::Inline { .. }) {
-            return Err(DiEventError::InvalidConfig(
-                "camera feeds require parallel_cameras (threaded mode)".into(),
-            ));
-        }
         let feeds: Vec<CameraFeed> = self.feeds.iter_mut().filter_map(Option::take).collect();
         if feeds.len() != self.cameras {
             return Err(DiEventError::SessionClosed);
@@ -1347,12 +1215,25 @@ impl PipelineSession {
     }
 
     /// Pushes the next input for `camera` — the canonical, typed ingest
-    /// point the wire protocol and the wrappers below both funnel into.
-    /// Applies the configured backpressure policy in threaded mode;
-    /// runs extraction synchronously in inline mode.
+    /// point the wire protocol and the wrappers below both funnel into:
+    /// enqueues it on the camera's feed under the configured
+    /// backpressure policy, then fuses whatever the lanes have returned.
     #[must_use = "an ignored Err means the input was never processed"]
     pub fn push(&mut self, camera: CameraId, input: SessionInput) -> Result<(), DiEventError> {
-        self.push_item(camera, |index| input.into_item(index))
+        if camera.index() >= self.cameras {
+            return Err(DiEventError::UnknownCamera {
+                camera,
+                cameras: self.cameras,
+            });
+        }
+        self.feeds
+            .get_mut(camera.index())
+            .and_then(Option::as_mut)
+            .ok_or(DiEventError::SessionClosed)?
+            .push_input(input)?;
+        self.sequencer.drain();
+        self.sequencer.fuse_ready(false);
+        Ok(())
     }
 
     /// Pushes the next frame for `camera`
@@ -1377,49 +1258,6 @@ impl PipelineSession {
         )
     }
 
-    fn push_item(
-        &mut self,
-        camera: CameraId,
-        make: impl FnOnce(usize) -> WorkItem,
-    ) -> Result<(), DiEventError> {
-        if camera.index() >= self.cameras {
-            return Err(DiEventError::UnknownCamera {
-                camera,
-                cameras: self.cameras,
-            });
-        }
-        let camera = camera.index();
-        match &mut self.mode {
-            ExecutionMode::Threaded { .. } => {
-                let feed = self
-                    .feeds
-                    .get_mut(camera)
-                    .and_then(Option::as_mut)
-                    .ok_or(DiEventError::SessionClosed)?;
-                let index = feed.next_index;
-                feed.next_index += 1;
-                feed.enqueue(make(index))?;
-                self.drain_outputs();
-                self.sequencer.fuse_ready(false);
-                Ok(())
-            }
-            ExecutionMode::Inline { stages, .. } => {
-                if self.shutdown.load(Ordering::Relaxed) {
-                    return Err(DiEventError::SessionClosed);
-                }
-                let index = self.inline_next[camera];
-                self.inline_next[camera] += 1;
-                // Inline mode has no queue; ingest and extraction start
-                // back to back, so queue-wait reads as ~zero.
-                self.lineage.ingest(camera, index as u64);
-                let output = stages[camera].process(make(index));
-                self.sequencer.insert(output);
-                self.sequencer.fuse_ready(false);
-                Ok(())
-            }
-        }
-    }
-
     /// Closes the session to new input via [`push_frame`](Self::push_frame)
     /// (detached [`CameraFeed`]s end their streams by dropping).
     /// Workers keep draining already-queued frames; call
@@ -1438,7 +1276,7 @@ impl PipelineSession {
 
     /// Drains the incremental results fused since the last poll.
     pub fn poll(&mut self) -> Vec<FrameAnalysis> {
-        self.drain_outputs();
+        self.sequencer.drain();
         self.sequencer.fuse_ready(false);
         let out: Vec<FrameAnalysis> = (self.emitted..self.sequencer.frame_numbers.len())
             .map(|i| FrameAnalysis {
@@ -1450,18 +1288,6 @@ impl PipelineSession {
             .collect();
         self.emitted = self.sequencer.frame_numbers.len();
         out
-    }
-
-    fn drain_outputs(&mut self) {
-        if let ExecutionMode::Threaded { out_rx, .. } = &self.mode {
-            let mut received = Vec::new();
-            while let Ok(output) = out_rx.try_recv() {
-                received.push(output);
-            }
-            for output in received {
-                self.sequencer.insert(output);
-            }
-        }
     }
 
     /// Ends the session: joins the workers, fuses everything still
@@ -1486,24 +1312,11 @@ impl PipelineSession {
             plane.set_ready(false);
         }
         self.close();
-        match &mut self.mode {
-            ExecutionMode::Threaded { workers, .. } => {
-                let handles = std::mem::take(workers);
-                for (camera, handle) in handles.into_iter().enumerate() {
-                    handle
-                        .join()
-                        .map_err(|_| DiEventError::CameraThreadPanicked {
-                            camera: Some(camera),
-                        })?;
-                }
-            }
-            ExecutionMode::Inline { spans, .. } => {
-                // Close the per-camera spans before the later stages so
-                // they don't nest under `camera.extract`.
-                spans.clear();
-            }
+        for (camera, lane) in std::mem::take(&mut self.lanes).into_iter().enumerate() {
+            lane.join()
+                .map_err(|_| DiEventError::CameraThreadPanicked { camera })?;
         }
-        self.drain_outputs();
+        self.sequencer.drain();
         drop(self.extraction_span.take());
         if self.pool_panic.load(Ordering::SeqCst) {
             return Err(DiEventError::PoolWorkerPanicked);
@@ -1556,9 +1369,7 @@ impl PipelineSession {
         // (shared-global-pool sessions running concurrently overlap);
         // the cursor ensures activity the heartbeat already published
         // mid-run is not counted twice.
-        if let Some(pool) = &pool {
-            pool_cursor.publish(&telemetry, pool);
-        }
+        pool_cursor.publish(&telemetry, &pool);
         vitals.publish(&telemetry);
         let frames = sequencer.frame_numbers.len();
         run_span.set("frames", frames);
@@ -1783,19 +1594,20 @@ mod tests {
     #[test]
     fn incremental_poll_emits_each_frame_once_in_order() {
         let recording = Recording::capture(Scenario::two_camera_dinner(6, 2));
-        // Inline mode: extraction runs on this thread, so a poll() after
-        // a complete frame deterministically observes that frame.
-        let pipeline = DiEventPipeline::new(PipelineConfig {
-            parallel_cameras: false,
-            ..quick_config()
-        });
+        let pipeline = DiEventPipeline::new(quick_config());
         let mut session = pipeline.session(&recording.scenario).expect("session");
         let mut seen = Vec::new();
         for f in 0..6 {
             for c in 0..2 {
                 session.push_frame(c, recording.frame(c, f)).expect("push");
             }
-            seen.extend(session.poll());
+            // The lanes extract off this thread: poll until the frame
+            // fuses.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while seen.len() <= f && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+                seen.extend(session.poll());
+            }
         }
         seen.extend(session.poll());
         let frames: Vec<usize> = seen.iter().map(|a| a.frame).collect();
@@ -1806,6 +1618,65 @@ mod tests {
         for (emitted, fused) in seen.iter().zip(&analysis.raw_matrices) {
             assert_eq!(&emitted.raw_matrix, fused);
         }
+    }
+
+    /// Block ingest loses nothing to eviction: camera 0 runs 40 frames
+    /// ahead while camera 1's lane has ingested every frame and returned
+    /// none. A window-only rule would fuse frames 0..=7 without camera 1
+    /// and discard its outputs for them as late.
+    #[test]
+    fn sequencer_waits_for_inputs_a_live_lane_has_ingested() {
+        const FRAMES: usize = 41;
+        let telemetry = Telemetry::enabled();
+        let vitals = Arc::new(SessionVitals::new(2));
+        let (tx, rx) = channel::unbounded();
+        let mut sequencer = Sequencer::new(
+            2,
+            2,
+            vec![Iso3::IDENTITY; 2],
+            quick_config(),
+            ThreadPool::new(1),
+            Arc::clone(&vitals),
+            LineageTracer::disabled(),
+            rx,
+            &telemetry,
+        );
+        let send = |camera| {
+            for index in 0..FRAMES {
+                let output = CameraFrameOutput {
+                    observations: Vec::new(),
+                    emotions: Vec::new(),
+                };
+                let sent = tx.send(WorkerOutput {
+                    camera,
+                    index,
+                    output,
+                    monitor: None,
+                });
+                assert!(sent.is_ok(), "the sequencer holds the receiver");
+            }
+        };
+        for ingested in &vitals.ingested {
+            ingested.store(FRAMES as u64, Ordering::Release);
+        }
+        send(0);
+        sequencer.drain();
+        sequencer.fuse_ready(false);
+        assert_eq!(
+            sequencer.frame_numbers,
+            Vec::<usize>::new(),
+            "camera 1 still holds every frame"
+        );
+
+        send(1);
+        sequencer.drain();
+        sequencer.fuse_ready(false);
+        assert_eq!(sequencer.frame_numbers, (0..FRAMES).collect::<Vec<_>>());
+        assert!(sequencer.cameras_reporting.iter().all(|&c| c == 2));
+        assert_eq!(
+            telemetry.report().counter("session.reorder_evictions"),
+            Some(0)
+        );
     }
 
     #[test]

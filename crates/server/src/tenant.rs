@@ -341,7 +341,6 @@ impl TenantRegistry {
     fn tenant_config(&self, mut config: PipelineConfig, cameras: usize) -> PipelineConfig {
         config.observe = ObserveConfig::default();
         config.pool_threads = 0;
-        config.parallel_cameras = true;
         config.streaming.backpressure = self.config.backpressure;
         config.streaming.channel_capacity = (self.config.max_inflight_frames / cameras).max(1);
         config

@@ -6,6 +6,7 @@
 
 use dievent_core::{BackpressureMode, DiEventPipeline, FinishOptions, PipelineConfig, Recording};
 use dievent_scene::Scenario;
+use std::time::{Duration, Instant};
 
 /// Streaming run of the paper's §III prototype — four cameras pushed
 /// from four independent producer threads — must match the batch
@@ -171,7 +172,6 @@ fn camera_skew_within_reorder_window_is_invisible() {
     let config = PipelineConfig::builder()
         .classify_emotions(false)
         .parse_video(false)
-        .parallel_cameras(false) // inline: deterministic ordering
         .reorder_window(FRAMES)
         .build()
         .expect("valid config");
@@ -212,7 +212,6 @@ fn skew_beyond_reorder_window_evicts_without_duplicates() {
     let config = PipelineConfig::builder()
         .classify_emotions(false)
         .parse_video(false)
-        .parallel_cameras(false) // inline: deterministic ordering
         .reorder_window(WINDOW)
         .build()
         .expect("valid config");
@@ -220,12 +219,23 @@ fn skew_beyond_reorder_window_evicts_without_duplicates() {
     let mut session = pipeline.session(&recording.scenario).expect("session");
 
     let mut emitted = Vec::new();
-    // Camera 1 races a full recording ahead of camera 0.
-    for c in [1, 0] {
-        for f in 0..FRAMES {
-            session.push_frame(c, recording.frame(c, f)).expect("push");
-            emitted.extend(session.poll());
-        }
+    // Camera 1 races a full recording ahead of camera 0, which has
+    // taken in nothing yet: every frame more than the window behind
+    // camera 1's last one fuses without camera 0.
+    for f in 0..FRAMES {
+        session.push_frame(1, recording.frame(1, f)).expect("push");
+        emitted.extend(session.poll());
+    }
+    // The lanes extract off this thread: poll until those frames are
+    // out, so camera 0's inputs for them arrive late.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while emitted.len() < FRAMES - WINDOW - 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+        emitted.extend(session.poll());
+    }
+    for f in 0..FRAMES {
+        session.push_frame(0, recording.frame(0, f)).expect("push");
+        emitted.extend(session.poll());
     }
     let analysis = session.finish().expect("finish");
     assert_eq!(analysis.matrices.len(), FRAMES);
