@@ -10,7 +10,7 @@ use dievent_core::{
     train_emotion_classifier, DiEventPipeline, PipelineConfig, Recording, Telemetry,
     TrainingSetConfig,
 };
-use dievent_emotion::{lbp_feature_vector, Emotion, LbpConfig};
+use dievent_emotion::{lbp_feature_vector_with, Emotion, ExtractArena, LbpConfig, LbpScratch};
 use dievent_metadata::{MetaRecord, MetadataRepository, Query, RecordKind};
 use dievent_scene::{render_face_patch, Scenario};
 use dievent_video::frame_distance;
@@ -67,8 +67,9 @@ fn rendering_and_vision(c: &mut Criterion) {
 fn emotion_stack(c: &mut Criterion) {
     let patch = render_face_patch(Emotion::Happy, 225, 1, 7, 48);
     let lbp = LbpConfig::default();
+    let (mut feature, mut scratch) = (Vec::new(), LbpScratch::new());
     c.bench_function("lbp_descriptor_48x48", |b| {
-        b.iter(|| lbp_feature_vector(black_box(&patch), &lbp))
+        b.iter(|| lbp_feature_vector_with(black_box(&patch), &lbp, &mut feature, &mut scratch))
     });
 
     let (classifier, _) = train_emotion_classifier(
@@ -79,8 +80,13 @@ fn emotion_stack(c: &mut Criterion) {
         },
         1,
     );
+    let mut arena = ExtractArena::new();
     c.bench_function("emotion_classify_one_patch", |b| {
-        b.iter(|| classifier.classify(black_box(&patch)))
+        b.iter(|| {
+            classifier
+                .classify_batch_with(&[black_box(&patch)], &mut arena)
+                .top(0)
+        })
     });
 
     let mut group = c.benchmark_group("emotion_training");

@@ -47,8 +47,8 @@
 use dievent_analysis::{LookAtConfig, LookAtMatrix, LookAtScratch, ParticipantPose};
 use dievent_core::{DiEventPipeline, PipelineConfig, Recording};
 use dievent_emotion::{
-    lbp_feature_vector_into, lbp_feature_vector_reference, lbp_feature_vector_with, Emotion,
-    LbpConfig, LbpScratch, Mlp, MlpBatchScratch, MlpConfig, MlpScratch,
+    lbp_feature_vector_reference, lbp_feature_vector_with, Emotion, LbpConfig, LbpScratch, Mlp,
+    MlpBatchScratch, MlpConfig, MlpScratch,
 };
 use dievent_geometry::Vec3;
 use dievent_pool::ThreadPool;
@@ -269,12 +269,12 @@ fn main() {
         let pool = ThreadPool::new(k);
         let config = LbpConfig::default();
         // Warm the workers up before timing.
-        let _ = pool.parallel_map(&patches, |p| lbp_feature_vector_into_len(p, &config));
+        let _ = pool.parallel_map(&patches, |p| lbp_descriptor_len(p, &config));
         let started = Instant::now();
         let reps = if quick { 2 } else { 10 };
         for _ in 0..reps {
             let lens = pool
-                .parallel_map(&patches, |p| lbp_feature_vector_into_len(p, &config))
+                .parallel_map(&patches, |p| lbp_descriptor_len(p, &config))
                 .expect("pool map");
             black_box(lens);
         }
@@ -474,9 +474,11 @@ fn time_per_iter<F: FnMut()>(iters: usize, setup: impl FnOnce() -> F) -> f64 {
     started.elapsed().as_secs_f64() * 1e9 / iters as f64
 }
 
-fn lbp_feature_vector_into_len(patch: &GrayFrame, config: &LbpConfig) -> usize {
+/// One LBP descriptor into fresh buffers, as the pool-scaling workload
+/// item: each task allocates its own feature vector and scratch.
+fn lbp_descriptor_len(patch: &GrayFrame, config: &LbpConfig) -> usize {
     let mut feature = Vec::new();
-    lbp_feature_vector_into(patch, config, &mut feature);
+    lbp_feature_vector_with(patch, config, &mut feature, &mut LbpScratch::new());
     feature.len()
 }
 

@@ -541,8 +541,8 @@ impl Sequencer {
 /// through this worker's [`ExtractArena`], returning the session's
 /// `(person, probabilities, confidence, radius)` tuples in face order.
 ///
-/// Bit-identical per face to the scalar `classify_with` path (the
-/// batched kernels keep the scalar operation order per sample — see
+/// Bit-identical per face to the emotion kernels' one-face oracles (the
+/// batched kernels keep their operation order per sample — see
 /// `dievent-emotion`), so how a lane's batch is chunked never changes
 /// a probability.
 fn classify_identified(

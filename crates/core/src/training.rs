@@ -68,6 +68,7 @@ pub fn train_emotion_classifier(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dievent_emotion::ExtractArena;
 
     #[test]
     fn training_set_is_balanced() {
@@ -99,6 +100,34 @@ mod tests {
         );
     }
 
+    /// FNV-1a over the value's JSON (the recipe `pool_determinism` uses).
+    fn fnv(value: &impl serde::Serialize) -> u64 {
+        serde_json::to_string(value)
+            .expect("serializes")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Each face's batched probabilities and `top`, for one rendered
+    /// probe per emotion.
+    fn probe_outputs(clf: &EmotionClassifier) -> Vec<(Vec<f64>, Emotion, f64)> {
+        let probes: Vec<GrayFrame> = Emotion::ALL
+            .iter()
+            .map(|&e| render_face_patch(e, 225, 1, 999, 48))
+            .collect();
+        let refs: Vec<&GrayFrame> = probes.iter().collect();
+        let mut arena = ExtractArena::new();
+        let preds = clf.classify_batch_with(&refs, &mut arena);
+        (0..preds.len())
+            .map(|i| {
+                let (emotion, confidence) = preds.top(i);
+                (preds.probabilities(i).to_vec(), emotion, confidence)
+            })
+            .collect()
+    }
+
     #[test]
     fn training_is_deterministic() {
         let cfg = TrainingSetConfig {
@@ -106,12 +135,20 @@ mod tests {
             identities: 2,
             patch_size: 48,
         };
-        let (a, _) = train_emotion_classifier(&cfg, 7);
-        let (b, _) = train_emotion_classifier(&cfg, 7);
-        let probe = render_face_patch(Emotion::Happy, 225, 1, 999, 48);
+        let (a, report_a) = train_emotion_classifier(&cfg, 7);
+        let (b, report_b) = train_emotion_classifier(&cfg, 7);
+        assert_eq!(a, b);
+        assert_eq!(report_a, report_b);
+        // Pinned hashes: a refactor of the emotion kernels must not move
+        // the trained model (whose JSON also fixes the `lbp` layout
+        // that readers of the serialized model rely on), its report or
+        // its outputs by one bit.
+        assert_eq!(fnv(&a), 0xf284_6bd7_161a_57ae, "classifier JSON");
+        assert_eq!(fnv(&report_a), 0xbe49_1297_2d91_a1b3, "train report JSON");
         assert_eq!(
-            a.classify(&probe).probabilities,
-            b.classify(&probe).probabilities
+            fnv(&probe_outputs(&a)),
+            0x1032_2fa1_c7e4_4318,
+            "batched probabilities and top"
         );
     }
 }

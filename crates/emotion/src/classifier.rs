@@ -1,26 +1,15 @@
 //! The end-to-end emotion classifier: LBP features → normalizer → MLP.
 //!
 //! This is the component the paper describes as "a trained model for
-//! emotion recognition" (§II-C): given a face patch it produces a
-//! distribution over the six basic emotions plus neutral.
+//! emotion recognition" (§II-C): given face patches it produces, per
+//! face, a distribution over the six basic emotions plus neutral.
 
 use crate::dataset::{ConfusionMatrix, Dataset, Normalizer};
 use crate::label::Emotion;
-use crate::lbp::{lbp_feature_vector, lbp_feature_vector_with, LbpConfig, LbpScratch};
-use crate::mlp::{Mlp, MlpBatchScratch, MlpConfig, MlpScratch, TrainingConfig};
+use crate::lbp::{lbp_feature_vector_with, LbpConfig, LbpScratch};
+use crate::mlp::{argmax, Mlp, MlpBatchScratch, MlpConfig, MlpScratch, TrainingConfig};
 use dievent_video::GrayFrame;
 use serde::{Deserialize, Serialize};
-
-/// A prediction for one face patch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EmotionPrediction {
-    /// Most probable emotion.
-    pub emotion: Emotion,
-    /// Probability of the predicted emotion.
-    pub confidence: f64,
-    /// Full distribution, indexed by [`Emotion::index`].
-    pub probabilities: Vec<f64>,
-}
 
 /// Summary of a training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -36,42 +25,12 @@ pub struct TrainReport {
 /// LBP + MLP emotion classifier over face patches.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EmotionClassifier {
-    lbp: LbpConfigSer,
+    lbp: LbpConfig,
     normalizer: Normalizer,
     mlp: Mlp,
 }
 
-/// Serializable mirror of [`LbpConfig`] (which stays `Copy`-simple).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct LbpConfigSer {
-    grid: usize,
-    threshold: u8,
-}
-
-impl From<LbpConfig> for LbpConfigSer {
-    fn from(c: LbpConfig) -> Self {
-        LbpConfigSer {
-            grid: c.grid,
-            threshold: c.threshold,
-        }
-    }
-}
-
-impl From<LbpConfigSer> for LbpConfig {
-    fn from(c: LbpConfigSer) -> Self {
-        LbpConfig {
-            grid: c.grid,
-            threshold: c.threshold,
-        }
-    }
-}
-
 impl EmotionClassifier {
-    /// Extracts the LBP descriptor used by this crate for a face patch.
-    pub fn features(patch: &GrayFrame, lbp: &LbpConfig) -> Vec<f64> {
-        lbp_feature_vector(patch, lbp)
-    }
-
     /// Trains a classifier on labelled face patches.
     ///
     /// `hidden` sets the MLP hidden-layer widths; `seed` fixes all
@@ -89,8 +48,11 @@ impl EmotionClassifier {
     ) -> (EmotionClassifier, TrainReport) {
         assert!(patches.len() >= 10, "need at least 10 training patches");
         let mut data = Dataset::new();
+        let mut lbp_scratch = LbpScratch::new();
         for (patch, emotion) in patches {
-            data.push(lbp_feature_vector(patch, &lbp), emotion.index());
+            let mut feature = Vec::new();
+            lbp_feature_vector_with(patch, &lbp, &mut feature, &mut lbp_scratch);
+            data.push(feature, emotion.index());
         }
         let (train_raw, test_raw) = data.split_every_kth(5);
         let normalizer = Normalizer::fit(&train_raw);
@@ -105,9 +67,12 @@ impl EmotionClassifier {
         });
         let epoch_losses = mlp.train(&train.features, &train.labels, tc);
 
+        // One sample at a time: packing the held-out split for the
+        // batched pass would allocate a second copy of it.
         let mut confusion = ConfusionMatrix::new(Emotion::COUNT);
+        let mut mlp_scratch = MlpScratch::new();
         for (f, &l) in test.features.iter().zip(&test.labels) {
-            confusion.record(l, mlp.predict(f));
+            confusion.record(l, argmax(mlp.predict_proba_with(f, &mut mlp_scratch)));
         }
         let report = TrainReport {
             epoch_losses,
@@ -116,7 +81,7 @@ impl EmotionClassifier {
         };
         (
             EmotionClassifier {
-                lbp: lbp.into(),
+                lbp,
                 normalizer,
                 mlp,
             },
@@ -124,75 +89,28 @@ impl EmotionClassifier {
         )
     }
 
-    /// Classifies one face patch.
+    /// Classifies every face patch of one frame — the classifier's one
+    /// entry point. Every patch's LBP descriptor is extracted with the
+    /// arena's shared bin image, normalized features are packed flat,
+    /// and one [`Mlp::predict_proba_batch_with`] call runs the layer
+    /// matmuls across all faces at once.
     ///
-    /// Allocating wrapper around [`classify_with`](Self::classify_with);
-    /// per-frame callers should hold a [`ClassifierScratch`].
-    pub fn classify(&self, patch: &GrayFrame) -> EmotionPrediction {
-        self.classify_with(patch, &mut ClassifierScratch::new())
-    }
-
-    /// Classifies one face patch using reusable buffers for the LBP
-    /// descriptor, the normalized feature vector, and the MLP forward
-    /// pass. Bit-identical to [`classify`](Self::classify).
-    pub fn classify_with(
-        &self,
-        patch: &GrayFrame,
-        scratch: &mut ClassifierScratch,
-    ) -> EmotionPrediction {
-        lbp_feature_vector_with(
-            patch,
-            &LbpConfig::from(self.lbp),
-            &mut scratch.raw,
-            &mut scratch.lbp,
-        );
-        self.normalizer.apply_into(&scratch.raw, &mut scratch.x);
-        let probabilities = self.mlp.predict_proba_with(&scratch.x, &mut scratch.mlp);
-        let (best, confidence) = probabilities
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map_or((0, 0.0), |(i, &p)| (i, p));
-        EmotionPrediction {
-            emotion: Emotion::from_index(best).unwrap_or(Emotion::Neutral),
-            confidence,
-            probabilities: probabilities.to_vec(),
-        }
-    }
-
-    /// Classifies every face patch of one frame in a single batched
-    /// pass over the MLP weights.
-    ///
-    /// Allocating wrapper around
-    /// [`classify_batch_with`](Self::classify_batch_with); hot-path
-    /// callers should hold a per-worker [`ExtractArena`].
-    pub fn classify_batch(&self, patches: &[&GrayFrame]) -> Vec<EmotionPrediction> {
-        let mut arena = ExtractArena::new();
-        let preds = self.classify_batch_with(patches, &mut arena);
-        (0..preds.len()).map(|i| preds.prediction(i)).collect()
-    }
-
-    /// Batched classification into a reusable [`ExtractArena`]: every
-    /// patch's LBP descriptor is extracted with the arena's shared bin
-    /// image, normalized features are packed flat, and one
-    /// [`Mlp::predict_proba_batch_with`] call runs the layer matmuls
-    /// across all faces at once.
-    ///
-    /// Per face, bit-identical to [`classify_with`](Self::classify_with)
-    /// (asserted by `tests/property_kernels.rs`): the descriptor,
-    /// normalization, dot-product, softmax, and argmax all keep the
-    /// scalar path's operation order. In steady state (arena buffers
-    /// grown to the largest frame seen) this path performs zero heap
-    /// allocation (asserted by `tests/alloc_steady_state.rs`).
+    /// Per face, bit-identical to the kernel oracles chained one face at
+    /// a time — [`lbp_feature_vector_reference`](crate::lbp_feature_vector_reference),
+    /// [`Normalizer::apply_extend`], then [`Mlp::predict_proba_with`] —
+    /// because every batched kernel keeps its oracle's operation order
+    /// per sample (asserted by `tests/property_kernels.rs` and this
+    /// module's tests). In steady state (arena buffers grown to the
+    /// largest frame seen) this path performs zero heap allocation
+    /// (asserted by `tests/alloc_steady_state.rs`).
     pub fn classify_batch_with<'s>(
         &self,
         patches: &[&GrayFrame],
         arena: &'s mut ExtractArena,
     ) -> BatchPredictions<'s> {
-        let lbp = LbpConfig::from(self.lbp);
         arena.features.clear();
         for patch in patches {
-            lbp_feature_vector_with(patch, &lbp, &mut arena.raw, &mut arena.lbp);
+            lbp_feature_vector_with(patch, &self.lbp, &mut arena.raw, &mut arena.lbp);
             self.normalizer
                 .apply_extend(&arena.raw, &mut arena.features);
         }
@@ -232,8 +150,7 @@ impl ExtractArena {
 
 /// The result of one [`EmotionClassifier::classify_batch_with`] call:
 /// a flat view of `faces × Emotion::COUNT` probabilities borrowed from
-/// the arena, valid until its next use. Accessors replicate the scalar
-/// path's argmax exactly.
+/// the arena, valid until its next use.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPredictions<'a> {
     probs: &'a [f64],
@@ -260,60 +177,25 @@ impl<'a> BatchPredictions<'a> {
         &self.probs[i * self.classes..(i + 1) * self.classes]
     }
 
-    /// Most probable emotion and its probability for face `i` — the
-    /// same `(argmax, confidence)` pair [`EmotionClassifier::classify_with`]
-    /// reports.
+    /// Most probable emotion of face `i` and its probability; on a tie
+    /// the later emotion in [`Emotion::ALL`] order wins.
     ///
     /// # Panics
     /// Panics when `i >= len()`.
     pub fn top(&self, i: usize) -> (Emotion, f64) {
-        let (best, confidence) = self
-            .probabilities(i)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map_or((0, 0.0), |(j, &p)| (j, p));
+        let p = self.probabilities(i);
+        let best = argmax(p);
         (
             Emotion::from_index(best).unwrap_or(Emotion::Neutral),
-            confidence,
+            p[best],
         )
-    }
-
-    /// Materializes face `i` as an owned [`EmotionPrediction`]
-    /// (allocates the probability vector).
-    ///
-    /// # Panics
-    /// Panics when `i >= len()`.
-    pub fn prediction(&self, i: usize) -> EmotionPrediction {
-        let (emotion, confidence) = self.top(i);
-        EmotionPrediction {
-            emotion,
-            confidence,
-            probabilities: self.probabilities(i).to_vec(),
-        }
-    }
-}
-
-/// Reusable buffers for [`EmotionClassifier::classify_with`]: one per
-/// worker/chunk, reused across every face of every frame it processes.
-#[derive(Debug, Default, Clone)]
-pub struct ClassifierScratch {
-    raw: Vec<f64>,
-    x: Vec<f64>,
-    lbp: LbpScratch,
-    mlp: MlpScratch,
-}
-
-impl ClassifierScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        ClassifierScratch::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lbp::lbp_feature_vector_reference;
 
     /// Synthetic "expression" patches: each emotion gets a distinct
     /// mouth/eye texture layout, plus deterministic per-sample jitter.
@@ -381,6 +263,14 @@ mod tests {
         out
     }
 
+    fn small_classifier() -> EmotionClassifier {
+        let tc = TrainingConfig {
+            epochs: 10,
+            ..TrainingConfig::default()
+        };
+        EmotionClassifier::train(&training_set(10), LbpConfig::default(), &[16], 1, &tc).0
+    }
+
     #[test]
     fn trains_to_high_accuracy_on_sketches() {
         let patches = training_set(12);
@@ -397,80 +287,80 @@ mod tests {
             report.confusion
         );
         // Spot-check classification of fresh variants.
-        for e in [Emotion::Happy, Emotion::Sad, Emotion::Surprise] {
-            let pred = clf.classify(&sketch(e, 99));
-            assert_eq!(pred.emotion, e, "misclassified {e}: {pred:?}");
+        let emotions = [Emotion::Happy, Emotion::Sad, Emotion::Surprise];
+        let frames: Vec<GrayFrame> = emotions.iter().map(|&e| sketch(e, 99)).collect();
+        let refs: Vec<&GrayFrame> = frames.iter().collect();
+        let mut arena = ExtractArena::new();
+        let preds = clf.classify_batch_with(&refs, &mut arena);
+        for (i, &e) in emotions.iter().enumerate() {
+            let (emotion, _) = preds.top(i);
+            assert_eq!(
+                emotion,
+                e,
+                "misclassified {e}: {:?}",
+                preds.probabilities(i)
+            );
         }
     }
 
     #[test]
     fn prediction_distribution_is_valid() {
-        let patches = training_set(10);
-        let tc = TrainingConfig {
-            epochs: 10,
-            ..TrainingConfig::default()
-        };
-        let (clf, _) = EmotionClassifier::train(&patches, LbpConfig::default(), &[16], 1, &tc);
-        let pred = clf.classify(&sketch(Emotion::Neutral, 50));
-        assert_eq!(pred.probabilities.len(), Emotion::COUNT);
-        assert!((pred.probabilities.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(pred.confidence > 0.0 && pred.confidence <= 1.0);
+        let clf = small_classifier();
+        let patch = sketch(Emotion::Neutral, 50);
+        let mut arena = ExtractArena::new();
+        let preds = clf.classify_batch_with(&[&patch], &mut arena);
+        let probabilities = preds.probabilities(0);
+        let (emotion, confidence) = preds.top(0);
+        assert_eq!(probabilities.len(), Emotion::COUNT);
+        assert!((probabilities.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(confidence > 0.0 && confidence <= 1.0);
         assert!(
-            (pred.probabilities[pred.emotion.index()] - pred.confidence).abs() < 1e-12,
+            (probabilities[emotion.index()] - confidence).abs() < 1e-12,
             "confidence must match the argmax probability"
         );
     }
 
     #[test]
-    fn classify_with_matches_classify() {
-        let patches = training_set(10);
-        let tc = TrainingConfig {
-            epochs: 10,
-            ..TrainingConfig::default()
-        };
-        let (clf, _) = EmotionClassifier::train(&patches, LbpConfig::default(), &[16], 1, &tc);
-        let mut scratch = ClassifierScratch::new();
-        for e in Emotion::ALL {
-            for v in [40u32, 41, 42] {
-                let patch = sketch(e, v);
-                let fresh = clf.classify(&patch);
-                let reused = clf.classify_with(&patch, &mut scratch);
-                assert_eq!(fresh, reused, "scratch reuse must not change any bit");
-            }
-        }
-    }
-
-    #[test]
     fn classify_batch_matches_classify_with() {
-        let patches = training_set(10);
-        let tc = TrainingConfig {
-            epochs: 10,
-            ..TrainingConfig::default()
-        };
-        let (clf, _) = EmotionClassifier::train(&patches, LbpConfig::default(), &[16], 1, &tc);
+        // The batched path against the three kernel oracles chained one
+        // face at a time: reference LBP, normalizer, scalar MLP.
+        let clf = small_classifier();
         let frames: Vec<GrayFrame> = Emotion::ALL.iter().map(|&e| sketch(e, 77)).collect();
         let refs: Vec<&GrayFrame> = frames.iter().collect();
         let mut arena = ExtractArena::new();
-        let mut scratch = ClassifierScratch::new();
+        let mut mlp_scratch = MlpScratch::new();
         // Twice through the same arena: reuse must not change any bit.
         for _ in 0..2 {
             let batch = clf.classify_batch_with(&refs, &mut arena);
             assert_eq!(batch.len(), frames.len());
             for (i, frame) in frames.iter().enumerate() {
-                let scalar = clf.classify_with(frame, &mut scratch);
-                assert_eq!(batch.prediction(i), scalar, "face {i} must match");
-                let (emotion, confidence) = batch.top(i);
-                assert_eq!((emotion, confidence), (scalar.emotion, scalar.confidence));
+                let raw = lbp_feature_vector_reference(frame, &clf.lbp);
+                let mut x = Vec::new();
+                clf.normalizer.apply_extend(&raw, &mut x);
+                let oracle = clf.mlp.predict_proba_with(&x, &mut mlp_scratch);
+                assert_eq!(batch.probabilities(i), oracle, "face {i} must match");
+                let best = argmax(oracle);
+                assert_eq!(
+                    batch.top(i),
+                    (Emotion::ALL[best], oracle[best]),
+                    "face {i} top must match"
+                );
             }
-        }
-        let owned = clf.classify_batch(&refs);
-        for (i, frame) in frames.iter().enumerate() {
-            assert_eq!(owned[i], clf.classify_with(frame, &mut scratch));
         }
         // Empty frames are a no-op, not a panic.
         let empty = clf.classify_batch_with(&[], &mut arena);
         assert!(empty.is_empty());
         assert_eq!(empty.len(), 0);
+    }
+
+    #[test]
+    fn top_picks_the_later_emotion_on_a_tie() {
+        let probs = [0.1, 0.3, 0.0, 0.0, 0.3, 0.2, 0.1];
+        let preds = BatchPredictions {
+            probs: &probs,
+            classes: Emotion::COUNT,
+        };
+        assert_eq!(preds.top(0), (Emotion::Disgust, 0.3));
     }
 
     #[test]

@@ -128,36 +128,11 @@ impl Normalizer {
         Normalizer { mean, inv_std }
     }
 
-    /// Applies the transform to one sample.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
-        x.iter()
-            .zip(&self.mean)
-            .zip(&self.inv_std)
-            .map(|((&xi, &m), &s)| (xi - m) * s)
-            .collect()
-    }
-
-    /// Applies the transform into a reusable buffer (bit-identical to
-    /// [`apply`](Self::apply), without the per-call allocation).
-    pub fn apply_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
-        out.clear();
-        out.extend(
-            x.iter()
-                .zip(&self.mean)
-                .zip(&self.inv_std)
-                .map(|((&xi, &m), &s)| (xi - m) * s),
-        );
-    }
-
     /// Appends the transformed sample to `out` **without clearing it** —
     /// the batched classifier packs every face's normalized feature
-    /// vector into one flat sample-major buffer this way. Per sample,
-    /// bit-identical to [`apply_into`](Self::apply_into).
+    /// vector into one flat sample-major buffer this way, and
+    /// [`apply_dataset`](Self::apply_dataset) fills one fresh vector
+    /// per sample.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
@@ -172,9 +147,21 @@ impl Normalizer {
     }
 
     /// Applies the transform to every sample of a dataset.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch.
     pub fn apply_dataset(&self, data: &Dataset) -> Dataset {
+        let features = data
+            .features
+            .iter()
+            .map(|f| {
+                let mut out = Vec::with_capacity(f.len());
+                self.apply_extend(f, &mut out);
+                out
+            })
+            .collect();
         Dataset {
-            features: data.features.iter().map(|f| self.apply(f)).collect(),
+            features,
             labels: data.labels.clone(),
         }
     }
@@ -302,7 +289,8 @@ mod tests {
         d.push(vec![5.0, 1.0], 0);
         d.push(vec![5.0, 2.0], 1);
         let norm = Normalizer::fit(&d);
-        let out = norm.apply(&[5.0, 1.5]);
+        let mut out = Vec::new();
+        norm.apply_extend(&[5.0, 1.5], &mut out);
         assert!(out[0].abs() < 1e-9, "constant dim centers to zero");
         assert!(out[0].is_finite() && out[1].is_finite());
     }

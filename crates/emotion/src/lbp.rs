@@ -10,12 +10,13 @@
 //! layout of mouth/eye texture that distinguishes expressions.
 
 use dievent_video::GrayFrame;
+use serde::{Deserialize, Serialize};
 
 /// Number of histogram bins for uniform LBP (58 uniform + 1 catch-all).
 pub const UNIFORM_BINS: usize = 59;
 
 /// Configuration of the LBP descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LbpConfig {
     /// Cells per row/column of the spatial grid (e.g. 4 → 4×4 = 16 cells).
     pub grid: usize,
@@ -36,9 +37,11 @@ impl Default for LbpConfig {
 }
 
 impl LbpConfig {
-    /// Total descriptor length: `grid² × 59`.
+    /// Total descriptor length: `grid² × 59`, with `grid` clamped to at
+    /// least 1 as the descriptors clamp it.
     pub fn feature_len(&self) -> usize {
-        self.grid * self.grid * UNIFORM_BINS
+        let g = self.grid.max(1);
+        g * g * UNIFORM_BINS
     }
 }
 
@@ -104,7 +107,7 @@ impl LbpScratch {
 /// with comparison threshold `t` (see [`LbpConfig::threshold`]).
 ///
 /// Bit `i` corresponds to the `i`-th neighbour clockwise from the top-left.
-pub fn lbp_code(frame: &GrayFrame, x: i64, y: i64, t: u8) -> u8 {
+fn lbp_code(frame: &GrayFrame, x: i64, y: i64, t: u8) -> u8 {
     const OFFSETS: [(i64, i64); 8] = [
         (-1, -1),
         (0, -1),
@@ -123,14 +126,6 @@ pub fn lbp_code(frame: &GrayFrame, x: i64, y: i64, t: u8) -> u8 {
         }
     }
     code
-}
-
-/// Maps every pixel of `frame` to its uniform-LBP bin (`0..59`) using
-/// comparison threshold `t`.
-pub fn uniform_lbp_image(frame: &GrayFrame, t: u8) -> Vec<u8> {
-    let mut scratch = LbpScratch::new();
-    fill_bin_image(frame, t, &mut scratch);
-    scratch.bins
 }
 
 /// One branchless comparison pass: for every interior column, compare
@@ -215,48 +210,21 @@ fn fill_bin_image(frame: &GrayFrame, t: u8, scratch: &mut LbpScratch) {
     }
 }
 
-/// Normalized 59-bin uniform-LBP histogram of a whole patch.
-pub fn lbp_histogram(frame: &GrayFrame) -> Vec<f64> {
-    let mut scratch = LbpScratch::new();
-    fill_bin_image(frame, LbpConfig::default().threshold, &mut scratch);
-    let mut counts = [0u32; UNIFORM_BINS];
-    for &bin in &scratch.bins {
-        counts[bin as usize] += 1;
-    }
-    let n = scratch.bins.len().max(1) as f64;
-    counts.iter().map(|&c| c as f64 / n).collect()
-}
-
-/// The full spatial-grid LBP descriptor: per-cell normalized histograms
-/// concatenated row-major. Length is [`LbpConfig::feature_len`].
+/// The spatial-grid LBP descriptor — the production entry point: the
+/// per-cell normalized histograms concatenated row-major, written into
+/// `feature` (cleared and resized to [`LbpConfig::feature_len`]).
 ///
-/// Cells partition the patch as evenly as possible; a patch smaller than
-/// the grid still works (degenerate cells produce near-empty histograms).
-pub fn lbp_feature_vector(frame: &GrayFrame, config: &LbpConfig) -> Vec<f64> {
-    let mut feature = Vec::new();
-    lbp_feature_vector_into(frame, config, &mut feature);
-    feature
-}
-
-/// Allocation-free variant of [`lbp_feature_vector`]: clears and fills
-/// `feature` in place, so per-frame callers can reuse one buffer.
+/// Cells partition the patch as evenly as possible; a patch smaller
+/// than the grid still works (cells smaller than a pixel stay
+/// all-zero). The bin image is computed once into `scratch` by the
+/// vectorized `fill_bin_image` kernel, then each grid cell
+/// accumulates integer bin counts over its rectangle and normalizes;
+/// with a reused `feature` and `scratch` the call allocates nothing.
 ///
-/// Allocates a transient [`LbpScratch`] per call; hot-path callers
-/// should hold a scratch and use [`lbp_feature_vector_with`] instead.
-pub fn lbp_feature_vector_into(frame: &GrayFrame, config: &LbpConfig, feature: &mut Vec<f64>) {
-    let mut scratch = LbpScratch::new();
-    lbp_feature_vector_with(frame, config, feature, &mut scratch);
-}
-
-/// Fully allocation-free descriptor: the bin image is computed once
-/// into `scratch` by the vectorized [`fill_bin_image`] kernel, then
-/// each grid cell accumulates integer bin counts over its rectangle
-/// and normalizes.
-///
-/// Bit-identical to the per-pixel reference
-/// ([`lbp_feature_vector_reference`]): integer counts converted once
-/// via `count as f64 / n` equal the reference's repeated `+= 1.0`
-/// accumulation exactly, because every count is far below 2⁵³.
+/// Bit-identical to the oracle [`lbp_feature_vector_reference`]:
+/// integer counts converted once via `count as f64 / n` equal the
+/// reference's repeated `+= 1.0` accumulation exactly, because every
+/// count is far below 2⁵³.
 pub fn lbp_feature_vector_with(
     frame: &GrayFrame,
     config: &LbpConfig,
@@ -298,10 +266,11 @@ pub fn lbp_feature_vector_with(
     }
 }
 
-/// Reference descriptor built exclusively from the clamped per-pixel
-/// [`lbp_code`] with f64 accumulation — the bit-identical oracle the
-/// vectorized kernel is tested against (see
-/// `tests/property_kernels.rs`). Never used on the hot path.
+/// The oracle for [`lbp_feature_vector_with`]: the same descriptor
+/// built exclusively from the clamped per-pixel `lbp_code` with f64
+/// accumulation. Tests (`tests/property_kernels.rs`) and the `perf`
+/// runner compare the production kernel against it; it is never used
+/// on the hot path.
 pub fn lbp_feature_vector_reference(frame: &GrayFrame, config: &LbpConfig) -> Vec<f64> {
     let table = uniform_table();
     let g = config.grid.max(1);
@@ -338,6 +307,20 @@ pub fn lbp_feature_vector_reference(frame: &GrayFrame, config: &LbpConfig) -> Ve
 mod tests {
     use super::*;
 
+    /// The production descriptor into fresh buffers.
+    fn descriptor(frame: &GrayFrame, config: &LbpConfig) -> Vec<f64> {
+        let mut feature = Vec::new();
+        lbp_feature_vector_with(frame, config, &mut feature, &mut LbpScratch::new());
+        feature
+    }
+
+    /// Every pixel's uniform-LBP bin (`0..59`) under threshold `t`.
+    fn bin_image(frame: &GrayFrame, t: u8) -> Vec<u8> {
+        let mut scratch = LbpScratch::new();
+        fill_bin_image(frame, t, &mut scratch);
+        scratch.bins
+    }
+
     #[test]
     fn transitions_counts_ring_changes() {
         assert_eq!(transitions(0b0000_0000), 0);
@@ -369,7 +352,7 @@ mod tests {
     #[test]
     fn interior_fast_path_matches_clamped_path() {
         // Pseudo-random frame: every pixel of the fast-path descriptor
-        // must match a reference built exclusively from the clamped
+        // must match the oracle built exclusively from the clamped
         // per-pixel `lbp_code`.
         let mut f = GrayFrame::new(37, 29, 0);
         f.mutate(|d| {
@@ -381,31 +364,11 @@ mod tests {
             grid: 4,
             threshold: 8,
         };
-        let fast = lbp_feature_vector(&f, &cfg);
-        // Reference path: clamped codes only.
-        let table = uniform_table();
-        let g = cfg.grid;
-        let (w, h) = (f.width() as usize, f.height() as usize);
-        let mut reference = vec![0.0f64; cfg.feature_len()];
-        let bound = |n: usize, i: usize| i * n / g;
-        for cy in 0..g {
-            for cx in 0..g {
-                let (y0, y1) = (bound(h, cy), bound(h, cy + 1));
-                let (x0, x1) = (bound(w, cx), bound(w, cx + 1));
-                let base = (cy * g + cx) * UNIFORM_BINS;
-                for y in y0..y1 {
-                    for x in x0..x1 {
-                        let code = lbp_code(&f, x as i64, y as i64, cfg.threshold);
-                        reference[base + table[code as usize] as usize] += 1.0;
-                    }
-                }
-                let n = ((x1 - x0) * (y1 - y0)).max(1) as f64;
-                for v in &mut reference[base..base + UNIFORM_BINS] {
-                    *v /= n;
-                }
-            }
-        }
-        assert_eq!(fast, reference, "fast path must be bit-identical");
+        assert_eq!(
+            descriptor(&f, &cfg),
+            lbp_feature_vector_reference(&f, &cfg),
+            "fast path must be bit-identical"
+        );
     }
 
     #[test]
@@ -413,10 +376,9 @@ mod tests {
         let mut f = GrayFrame::new(24, 24, 0);
         f.fill_disk(12.0, 12.0, 7.0, 200);
         let cfg = LbpConfig::default();
-        let fresh = lbp_feature_vector(&f, &cfg);
         let mut buf = vec![123.0; 7]; // wrong size, stale contents
-        lbp_feature_vector_into(&f, &cfg, &mut buf);
-        assert_eq!(buf, fresh);
+        lbp_feature_vector_with(&f, &cfg, &mut buf, &mut LbpScratch::new());
+        assert_eq!(buf, lbp_feature_vector_reference(&f, &cfg));
     }
 
     #[test]
@@ -440,7 +402,7 @@ mod tests {
         let f = GrayFrame::new(8, 8, 100);
         assert_eq!(lbp_code(&f, 4, 4, 0), 0xFF);
         assert_eq!(lbp_code(&f, 4, 4, 8), 0x00);
-        let img = uniform_lbp_image(&f, 8);
+        let img = bin_image(&f, 8);
         assert!(img.iter().all(|&b| b == img[0]));
     }
 
@@ -464,32 +426,26 @@ mod tests {
         };
         let a = noisy(1);
         let b = noisy(2);
-        let with_t: Vec<u8> = uniform_lbp_image(&a, 8);
-        let with_t_b: Vec<u8> = uniform_lbp_image(&b, 8);
-        assert_eq!(with_t, with_t_b, "thresholded codes are noise-stable");
-        let raw_a = uniform_lbp_image(&a, 0);
-        let raw_b = uniform_lbp_image(&b, 0);
+        assert_eq!(
+            bin_image(&a, 8),
+            bin_image(&b, 8),
+            "thresholded codes are noise-stable"
+        );
+        let raw_a = bin_image(&a, 0);
+        let raw_b = bin_image(&b, 0);
         assert_ne!(raw_a, raw_b, "unthresholded codes chase the noise");
-    }
-
-    #[test]
-    fn histogram_normalized() {
-        let mut f = GrayFrame::new(16, 16, 0);
-        f.fill_rect(4, 4, 8, 8, 200);
-        f.fill_disk(8.0, 8.0, 3.0, 50);
-        let h = lbp_histogram(&f);
-        assert_eq!(h.len(), UNIFORM_BINS);
-        assert!((h.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(h.iter().all(|&v| v >= 0.0));
     }
 
     #[test]
     fn feature_vector_length_matches_config() {
         let f = GrayFrame::new(32, 32, 10);
-        for grid in [1usize, 2, 4, 5] {
+        for grid in [0usize, 1, 2, 4, 5] {
             let cfg = LbpConfig { grid, threshold: 8 };
-            let v = lbp_feature_vector(&f, &cfg);
-            assert_eq!(v.len(), cfg.feature_len());
+            assert_eq!(descriptor(&f, &cfg).len(), cfg.feature_len());
+            assert_eq!(
+                lbp_feature_vector_reference(&f, &cfg).len(),
+                cfg.feature_len()
+            );
         }
     }
 
@@ -501,7 +457,7 @@ mod tests {
             grid: 3,
             threshold: 8,
         };
-        let v = lbp_feature_vector(&f, &cfg);
+        let v = descriptor(&f, &cfg);
         for cell in 0..9 {
             let s: f64 = v[cell * UNIFORM_BINS..(cell + 1) * UNIFORM_BINS]
                 .iter()
@@ -522,8 +478,8 @@ mod tests {
             grid: 4,
             threshold: 8,
         };
-        let a = lbp_feature_vector(&top, &cfg);
-        let b = lbp_feature_vector(&bottom, &cfg);
+        let a = descriptor(&top, &cfg);
+        let b = descriptor(&bottom, &cfg);
         let dist: f64 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
         assert!(
             dist > 0.5,
@@ -545,8 +501,8 @@ mod tests {
             }
         });
         let cfg = LbpConfig::default();
-        let fa = lbp_feature_vector(&a, &cfg);
-        let fb = lbp_feature_vector(&b, &cfg);
+        let fa = descriptor(&a, &cfg);
+        let fb = descriptor(&b, &cfg);
         let dist: f64 = fa.iter().zip(&fb).map(|(x, y)| (x - y).abs()).sum();
         assert!(
             dist < 1e-9,
@@ -561,7 +517,7 @@ mod tests {
             grid: 4,
             threshold: 8,
         };
-        let v = lbp_feature_vector(&f, &cfg);
+        let v = descriptor(&f, &cfg);
         assert_eq!(v.len(), cfg.feature_len());
         // Cells smaller than a pixel stay all-zero; others are normalized.
         assert!(v.iter().all(|&x| x.is_finite()));

@@ -16,6 +16,17 @@
 //! * [`classifier`] — [`classifier::EmotionClassifier`], the trained
 //!   LBP → MLP pipeline applied to face patches.
 //!
+//! Each kernel has one production entry point, allocation-free with
+//! reused buffers, and at most one oracle that tests and the `perf`
+//! runner check it against bit for bit:
+//!
+//! | Kernel | Production entry point | Oracle |
+//! |---|---|---|
+//! | LBP descriptor | [`lbp_feature_vector_with`] + [`LbpScratch`] | [`lbp_feature_vector_reference`] |
+//! | Normalizer | [`Normalizer::apply_extend`] | — |
+//! | MLP forward | [`Mlp::predict_proba_batch_with`] + [`MlpBatchScratch`] | [`Mlp::predict_proba_with`] + [`MlpScratch`] |
+//! | Classifier | [`EmotionClassifier::classify_batch_with`] + [`ExtractArena`] | the three above, chained |
+//!
 //! The paper used a pretrained model on real faces; here the classifier
 //! is trained on synthetically rendered expression patches (see
 //! `dievent-scene::face`), exercising the identical code path.
@@ -29,14 +40,8 @@ pub mod label;
 pub mod lbp;
 pub mod mlp;
 
-pub use classifier::{
-    BatchPredictions, ClassifierScratch, EmotionClassifier, EmotionPrediction, ExtractArena,
-    TrainReport,
-};
+pub use classifier::{BatchPredictions, EmotionClassifier, ExtractArena, TrainReport};
 pub use dataset::{ConfusionMatrix, Dataset, Normalizer};
 pub use label::Emotion;
-pub use lbp::{
-    lbp_feature_vector, lbp_feature_vector_into, lbp_feature_vector_reference,
-    lbp_feature_vector_with, lbp_histogram, uniform_lbp_image, LbpConfig, LbpScratch,
-};
+pub use lbp::{lbp_feature_vector_reference, lbp_feature_vector_with, LbpConfig, LbpScratch};
 pub use mlp::{Mlp, MlpBatchScratch, MlpConfig, MlpScratch, TrainingConfig};

@@ -103,17 +103,12 @@ struct Grads {
     gb: Vec<Vec<f64>>,
 }
 
-/// Reusable forward/backward buffers.
-///
-/// The original hot loop allocated one `Vec<f64>` per layer per frame
-/// (plus the input copy and the softmax output); at 610 frames × 4
-/// cameras × per-face classification that dominated `predict_proba`
-/// cost. A scratch is cheap to create empty — buffers grow to the
-/// network's widths on first use and are reused afterwards.
-///
-/// All scratch-threaded entry points produce bit-identical results to
-/// their allocating counterparts: the arithmetic and its order are
-/// unchanged, only the buffer reuse differs.
+/// Reusable buffers for the one-sample forward pass
+/// ([`Mlp::predict_proba_with`], the oracle of the batched pass) and
+/// for backpropagation during training, which runs the same forward
+/// pass. A scratch is cheap to create empty — buffers grow to the
+/// network's widths on first use and are reused afterwards, so reuse
+/// never changes a result bit.
 #[derive(Debug, Default, Clone)]
 pub struct MlpScratch {
     /// `activations[0]` = input copy; `activations[i]` = output of
@@ -195,22 +190,14 @@ impl Mlp {
         &self.config
     }
 
-    /// Forward pass returning softmax class probabilities.
-    ///
-    /// Allocating convenience wrapper around
-    /// [`predict_proba_with`](Self::predict_proba_with); per-frame
-    /// callers should hold an [`MlpScratch`] instead.
-    ///
-    /// # Panics
-    /// Panics when `x.len() != config.input`.
-    pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut scratch = MlpScratch::new();
-        self.predict_proba_with(x, &mut scratch).to_vec()
-    }
-
-    /// Forward pass into reusable buffers; returns the class
+    /// One-sample forward pass into reusable buffers; returns the class
     /// probabilities (borrowed from `scratch`, valid until the next
-    /// pass). Bit-identical to [`predict_proba`](Self::predict_proba).
+    /// pass).
+    ///
+    /// This is the oracle of
+    /// [`predict_proba_batch_with`](Self::predict_proba_batch_with),
+    /// the production entry point, and the forward pass training
+    /// backpropagates through.
     ///
     /// # Panics
     /// Panics when `x.len() != config.input`.
@@ -220,32 +207,17 @@ impl Mlp {
         &scratch.probs
     }
 
-    /// Forward passes over a whole batch with one shared scratch,
-    /// returning per-sample probability vectors in input order.
-    #[deprecated(note = "allocates one Vec per sample per call; pack inputs flat and \
-                         use `predict_proba_batch_with` with a reusable `MlpBatchScratch`")]
-    pub fn predict_proba_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let mut scratch = MlpBatchScratch::new();
-        let mut flat = Vec::with_capacity(xs.len() * self.config.input);
-        for x in xs {
-            flat.extend_from_slice(x);
-        }
-        self.predict_proba_batch_with(xs.len(), &flat, &mut scratch)
-            .chunks(self.config.output.max(1))
-            .map(|p| p.to_vec())
-            .collect()
-    }
-
-    /// Batched forward pass: `samples` inputs packed flat (sample-major
-    /// `samples × input`) produce `samples × output` probabilities,
-    /// borrowed from `scratch` and valid until the next pass.
+    /// Batched forward pass — the production entry point: `samples`
+    /// inputs packed flat (sample-major `samples × input`) produce
+    /// `samples × output` probabilities, borrowed from `scratch` and
+    /// valid until the next pass.
     ///
     /// Each layer's matmul runs with the weight row as the *outer* loop
     /// and the sample as the inner loop, so one traversal of the weight
     /// matrix serves the whole batch (the row stays in L1 across
     /// samples). The per-sample dot product itself — `acc = bias`, then
     /// `acc += w[c] * x[c]` ascending `c` — and the per-sample softmax
-    /// keep the exact operation order of [`Layer::forward`] /
+    /// keep the exact operation order of `Layer::forward` /
     /// [`predict_proba_with`](Self::predict_proba_with), so every
     /// output is bit-identical to the scalar path (asserted by
     /// `tests/property_kernels.rs`).
@@ -300,16 +272,6 @@ impl Mlp {
             );
         }
         &scratch.probs
-    }
-
-    /// Index of the most probable class.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        argmax(&self.predict_proba(x))
-    }
-
-    /// Scratch-buffer variant of [`predict`](Self::predict).
-    pub fn predict_with(&self, x: &[f64], scratch: &mut MlpScratch) -> usize {
-        argmax(self.predict_proba_with(x, scratch))
     }
 
     /// Forward pass keeping every layer's post-activation output
@@ -462,19 +424,6 @@ impl Mlp {
         }
         loss
     }
-
-    /// Classification accuracy on a labelled set.
-    pub fn accuracy(&self, features: &[Vec<f64>], labels: &[usize]) -> f64 {
-        if features.is_empty() {
-            return 0.0;
-        }
-        let correct = features
-            .iter()
-            .zip(labels)
-            .filter(|(x, &y)| self.predict(x) == y)
-            .count();
-        correct as f64 / features.len() as f64
-    }
 }
 
 /// Numerically-stable softmax into a reusable buffer (max-shift, exp,
@@ -500,8 +449,9 @@ fn softmax_slice(logits: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Index of the maximum element (first on ties).
-fn argmax(v: &[f64]) -> usize {
+/// Index of the maximum element under `f64::total_cmp`: the *last*
+/// one on ties, as `Iterator::max_by` returns; 0 for an empty slice.
+pub(crate) fn argmax(v: &[f64]) -> usize {
     v.iter()
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
@@ -523,6 +473,23 @@ mod tests {
         (features, labels)
     }
 
+    /// Share of samples whose most probable class is their label.
+    fn accuracy(mlp: &Mlp, features: &[Vec<f64>], labels: &[usize]) -> f64 {
+        let mut scratch = MlpScratch::new();
+        let correct = features
+            .iter()
+            .zip(labels)
+            .filter(|(x, &y)| argmax(mlp.predict_proba_with(x, &mut scratch)) == y)
+            .count();
+        correct as f64 / features.len() as f64
+    }
+
+    #[test]
+    fn argmax_returns_the_last_maximum_on_ties() {
+        assert_eq!(argmax(&[0.25, 0.5, 0.5, 0.1]), 2);
+        assert_eq!(argmax(&[]), 0);
+    }
+
     #[test]
     fn softmax_sums_to_one_and_is_stable() {
         let mut p = Vec::new();
@@ -540,7 +507,8 @@ mod tests {
             output: 3,
             seed: 1,
         });
-        let p = mlp.predict_proba(&[0.1, -0.2, 0.3, 0.0, 1.0]);
+        let mut scratch = MlpScratch::new();
+        let p = mlp.predict_proba_with(&[0.1, -0.2, 0.3, 0.0, 1.0], &mut scratch);
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -567,7 +535,7 @@ mod tests {
             "final loss {:?}",
             losses.last()
         );
-        assert_eq!(mlp.accuracy(&features, &labels), 1.0);
+        assert_eq!(accuracy(&mlp, &features, &labels), 1.0);
     }
 
     #[test]
@@ -590,7 +558,7 @@ mod tests {
         });
         let losses = mlp.train(&features, &labels, &TrainingConfig::default());
         assert!(losses.first().unwrap() > losses.last().unwrap());
-        assert!(mlp.accuracy(&features, &labels) > 0.95);
+        assert!(accuracy(&mlp, &features, &labels) > 0.95);
     }
 
     #[test]
@@ -632,7 +600,7 @@ mod tests {
             .collect();
         let labels: Vec<usize> = features.iter().map(|f| usize::from(f[0] > f[1])).collect();
         mlp.train(&features, &labels, &TrainingConfig::default());
-        assert!(mlp.accuracy(&features, &labels) > 0.9);
+        assert!(accuracy(&mlp, &features, &labels) > 0.9);
     }
 
     #[test]
@@ -644,7 +612,7 @@ mod tests {
             output: 2,
             seed: 0,
         });
-        let _ = mlp.predict(&[1.0, 2.0]);
+        let _ = mlp.predict_proba_with(&[1.0, 2.0], &mut MlpScratch::new());
     }
 
     #[test]
@@ -657,40 +625,6 @@ mod tests {
             seed: 0,
         });
         let _ = mlp.train(&[vec![1.0]], &[5], &TrainingConfig::default());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn scratch_path_is_bit_identical_to_allocating_path() {
-        let (features, labels) = xor_data();
-        let mut mlp = Mlp::new(MlpConfig {
-            input: 2,
-            hidden: vec![8, 6],
-            output: 2,
-            seed: 21,
-        });
-        mlp.train(
-            &features,
-            &labels,
-            &TrainingConfig {
-                epochs: 30,
-                ..TrainingConfig::default()
-            },
-        );
-        let mut scratch = MlpScratch::new();
-        let inputs: Vec<Vec<f64>> = (0..20)
-            .map(|i| vec![(i as f64) * 0.05, 1.0 - (i as f64) * 0.03])
-            .collect();
-        for x in &inputs {
-            let fresh = mlp.predict_proba(x);
-            let reused = mlp.predict_proba_with(x, &mut scratch).to_vec();
-            assert_eq!(fresh, reused, "scratch reuse must not change any bit");
-            assert_eq!(mlp.predict(x), mlp.predict_with(x, &mut scratch));
-        }
-        let batch = mlp.predict_proba_batch(&inputs);
-        for (x, b) in inputs.iter().zip(&batch) {
-            assert_eq!(&mlp.predict_proba(x), b, "batch path must match");
-        }
     }
 
     #[test]
@@ -740,8 +674,12 @@ mod tests {
         );
         let json = serde_json::to_string(&mlp).unwrap();
         let restored: Mlp = serde_json::from_str(&json).unwrap();
+        let (mut a, mut b) = (MlpScratch::new(), MlpScratch::new());
         for f in &features {
-            assert_eq!(mlp.predict(f), restored.predict(f));
+            assert_eq!(
+                mlp.predict_proba_with(f, &mut a),
+                restored.predict_proba_with(f, &mut b)
+            );
         }
     }
 }

@@ -1,9 +1,18 @@
 //! Property-based tests for the emotion substrate.
 
 use dievent_emotion::lbp::UNIFORM_BINS;
-use dievent_emotion::{lbp_feature_vector, Dataset, LbpConfig, Mlp, MlpConfig, Normalizer};
+use dievent_emotion::{
+    lbp_feature_vector_with, Dataset, LbpConfig, LbpScratch, Mlp, MlpConfig, MlpScratch, Normalizer,
+};
 use dievent_video::GrayFrame;
 use proptest::prelude::*;
+
+/// The production LBP descriptor into fresh buffers.
+fn descriptor(frame: &GrayFrame, config: &LbpConfig) -> Vec<f64> {
+    let mut feature = Vec::new();
+    lbp_feature_vector_with(frame, config, &mut feature, &mut LbpScratch::new());
+    feature
+}
 
 fn patch() -> impl Strategy<Value = GrayFrame> {
     (
@@ -26,7 +35,7 @@ proptest! {
     #[test]
     fn lbp_descriptor_is_per_cell_normalized(f in patch(), grid in 1usize..5) {
         let cfg = LbpConfig { grid, threshold: 8 };
-        let v = lbp_feature_vector(&f, &cfg);
+        let v = descriptor(&f, &cfg);
         prop_assert_eq!(v.len(), cfg.feature_len());
         for cell in v.chunks(UNIFORM_BINS) {
             let s: f64 = cell.iter().sum();
@@ -54,7 +63,7 @@ proptest! {
             }
         });
         let cfg = LbpConfig::default();
-        prop_assert_eq!(lbp_feature_vector(&base, &cfg), lbp_feature_vector(&shifted, &cfg));
+        prop_assert_eq!(descriptor(&base, &cfg), descriptor(&shifted, &cfg));
     }
 
     /// MLP softmax outputs are always valid distributions, whatever the
@@ -65,11 +74,11 @@ proptest! {
         x in proptest::collection::vec(-10.0..10.0f64, 6),
     ) {
         let mlp = Mlp::new(MlpConfig { input: 6, hidden: vec![5], output: 4, seed });
-        let p = mlp.predict_proba(&x);
+        let mut scratch = MlpScratch::new();
+        let p = mlp.predict_proba_with(&x, &mut scratch);
         prop_assert_eq!(p.len(), 4);
         prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         prop_assert!(p.iter().all(|&v| v.is_finite() && v >= 0.0));
-        prop_assert!(mlp.predict(&x) < 4);
     }
 
     /// Standardization then re-standardization is idempotent on the
