@@ -52,4 +52,6 @@ pub use session::{
     BackpressureMode, CameraFeed, FinishOptions, FrameAnalysis, PipelineSession, SessionInput,
     StreamingConfig,
 };
-pub use training::{default_training_set, train_emotion_classifier, TrainingSetConfig};
+pub use training::{
+    default_training_set, train_emotion_classifier, TrainingSetConfig, DEFAULT_TRAINING_SEED,
+};

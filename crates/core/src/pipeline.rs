@@ -29,14 +29,15 @@ use crate::error::DiEventError;
 use crate::observe::ObserveConfig;
 use crate::report::EventAnalysis;
 use crate::session::{FinishOptions, StreamingConfig};
-use crate::training::{train_emotion_classifier, TrainingSetConfig};
+use crate::training::{load_emotion_classifier, TrainingSetConfig, DEFAULT_TRAINING_SEED};
 use dievent_analysis::{FusionConfig, LookAtConfig};
-use dievent_emotion::EmotionClassifier;
+use dievent_emotion::{Emotion, EmotionClassifier, MIN_TRAINING_PATCHES};
 use dievent_summarize::{HighlightConfig, ImportanceConfig, SummaryConfig};
 use dievent_telemetry::Telemetry;
 use dievent_video::VideoParserConfig;
 use dievent_vision::ExtractorConfig;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Full pipeline configuration.
 ///
@@ -57,7 +58,9 @@ pub struct PipelineConfig {
     pub emotion_smoothing: f64,
     /// Video-parsing settings (applied to the camera-0 monitor stream).
     pub parser: VideoParserConfig,
-    /// Emotion-classifier training-set settings.
+    /// Emotion-classifier training-set settings. With the default
+    /// settings and seed the pipeline uses the embedded default model;
+    /// any other value trains a model when the pipeline is built.
     pub training: TrainingSetConfig,
     /// Seed for classifier training.
     pub training_seed: u64,
@@ -99,7 +102,7 @@ impl Default for PipelineConfig {
             emotion_smoothing: 0.85,
             parser: VideoParserConfig::default(),
             training: TrainingSetConfig::default(),
-            training_seed: 42,
+            training_seed: DEFAULT_TRAINING_SEED,
             classify_emotions: true,
             parse_video: true,
             pool_threads: 0,
@@ -142,6 +145,21 @@ impl PipelineConfig {
             return Err(DiEventError::InvalidConfig(
                 "matrix_smoothing window must be >= 1 frame".into(),
             ));
+        }
+        if self.classify_emotions {
+            let patches = self.training.patch_count().ok_or_else(|| {
+                DiEventError::InvalidConfig(format!(
+                    "training.variants × training.identities × {} emotions overflows",
+                    Emotion::COUNT
+                ))
+            })?;
+            if patches < MIN_TRAINING_PATCHES {
+                return Err(DiEventError::InvalidConfig(format!(
+                    "training.variants × training.identities × {} emotions gives {patches} \
+                     training patches; the classifier needs at least {MIN_TRAINING_PATCHES}",
+                    Emotion::COUNT
+                )));
+            }
         }
         self.observe.validate()?;
         Ok(())
@@ -290,16 +308,20 @@ impl PipelineConfigBuilder {
 /// The assembled DiEvent pipeline.
 pub struct DiEventPipeline {
     config: PipelineConfig,
-    classifier: Option<EmotionClassifier>,
+    /// Shared with every session this pipeline opens.
+    classifier: Option<Arc<EmotionClassifier>>,
     telemetry: Telemetry,
 }
 
 impl DiEventPipeline {
-    /// Builds the pipeline, training the emotion classifier when
-    /// classification is enabled. Telemetry is on by default (it is
-    /// cheap enough to leave on, and [`EventAnalysis::telemetry`] plus
-    /// the stage timings come from it); opt out with
-    /// [`DiEventPipeline::new_with_telemetry`] and
+    /// Builds the pipeline. When classification is enabled it loads the
+    /// emotion classifier: the default training config and seed share
+    /// the model embedded in this crate, parsed once per process; any
+    /// other config trains its own model here (see [`crate::training`]).
+    ///
+    /// Telemetry is on by default (it is cheap enough to leave on, and
+    /// [`EventAnalysis::telemetry`] plus the stage timings come from
+    /// it); opt out with [`DiEventPipeline::new_with_telemetry`] and
     /// [`Telemetry::disabled`].
     pub fn new(config: PipelineConfig) -> Self {
         Self::new_with_telemetry(config, Telemetry::enabled())
@@ -310,10 +332,10 @@ impl DiEventPipeline {
     /// twice sums its counters and span totals.
     pub fn new_with_telemetry(config: PipelineConfig, telemetry: Telemetry) -> Self {
         let classifier = {
-            let _span = telemetry.span("pipeline.train_classifier");
+            let _span = telemetry.span("pipeline.load_classifier");
             config
                 .classify_emotions
-                .then(|| train_emotion_classifier(&config.training, config.training_seed).0)
+                .then(|| load_emotion_classifier(&config.training, config.training_seed))
         };
         DiEventPipeline {
             config,
@@ -332,8 +354,8 @@ impl DiEventPipeline {
         &self.telemetry
     }
 
-    /// The trained emotion classifier, when classification is enabled.
-    pub(crate) fn classifier(&self) -> Option<&EmotionClassifier> {
+    /// The emotion classifier, when classification is enabled.
+    pub(crate) fn classifier(&self) -> Option<&Arc<EmotionClassifier>> {
         self.classifier.as_ref()
     }
 
@@ -455,6 +477,26 @@ mod tests {
             PipelineConfig::builder().matrix_smoothing(0).build(),
             Err(DiEventError::InvalidConfig(_))
         ));
+        // Training sets too small for the classifier to train on are
+        // refused when emotions are classified, and ignored otherwise.
+        // A set whose size overflows is refused too, before anything
+        // sizes a buffer from it.
+        for (variants, identities) in [(0, 4), (16, 0), (1, 1), (1, 1 << 62)] {
+            let training = TrainingSetConfig {
+                variants,
+                identities,
+                ..TrainingSetConfig::default()
+            };
+            assert!(matches!(
+                PipelineConfig::builder().training(training).build(),
+                Err(DiEventError::InvalidConfig(_))
+            ));
+            assert!(PipelineConfig::builder()
+                .training(training)
+                .classify_emotions(false)
+                .build()
+                .is_ok());
+        }
         assert!(matches!(
             PipelineConfig::builder()
                 .trace_lineage(true)
@@ -473,6 +515,36 @@ mod tests {
         assert_eq!(config.streaming.channel_capacity, 2);
         assert!(config.observe.trace_lineage);
         assert_eq!(config.observe.lineage_reservoir, 64);
+    }
+
+    #[test]
+    fn pipelines_and_sessions_share_one_classifier() {
+        let a = DiEventPipeline::new(PipelineConfig::default());
+        let b = DiEventPipeline::new(PipelineConfig::default());
+        let (Some(shared), Some(other)) = (a.classifier(), b.classifier()) else {
+            panic!("classification is on by default");
+        };
+        assert!(Arc::ptr_eq(shared, other), "one default model per process");
+
+        // A custom config trains a model of its own, so its handle count
+        // is exact: a session adds one handle per camera lane and clones
+        // no model.
+        let custom = DiEventPipeline::new(PipelineConfig {
+            training: TrainingSetConfig {
+                variants: 1,
+                identities: 2,
+                ..TrainingSetConfig::default()
+            },
+            ..PipelineConfig::default()
+        });
+        let model = custom.classifier().expect("classification is on");
+        assert!(!Arc::ptr_eq(model, shared));
+        assert_eq!(Arc::strong_count(model), 1);
+        let scenario = Scenario::two_camera_dinner(4, 1);
+        let session = custom.session(&scenario).expect("session opens");
+        assert_eq!(Arc::strong_count(model), 1 + scenario.rig.len());
+        session.finish().expect("session finishes");
+        assert_eq!(Arc::strong_count(model), 1);
     }
 
     #[test]

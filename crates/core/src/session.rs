@@ -572,7 +572,7 @@ struct CameraStage {
     camera: PinholeCamera,
     config: ExtractorConfig,
     seats: Arc<Vec<(usize, Vec3)>>,
-    classifier: Arc<Option<EmotionClassifier>>,
+    classifier: Option<Arc<EmotionClassifier>>,
     telemetry: Telemetry,
     monitor: bool,
     extractor: Option<FeatureExtractor>,
@@ -594,7 +594,7 @@ impl CameraStage {
         camera: PinholeCamera,
         config: ExtractorConfig,
         seats: Arc<Vec<(usize, Vec3)>>,
-        classifier: Arc<Option<EmotionClassifier>>,
+        classifier: Option<Arc<EmotionClassifier>>,
         telemetry: Telemetry,
         monitor: bool,
         lineage: LineageTracer,
@@ -754,7 +754,7 @@ impl CameraStage {
                 // Quarter-resolution monitor stream for parsing.
                 let monitor = self.monitor.then(|| frame.downsample2().downsample2());
                 let raw = extractor.analyze(frame);
-                let emotions = match self.classifier.as_ref() {
+                let emotions = match self.classifier.as_deref() {
                     Some(clf) => {
                         let faces: Vec<(usize, f64, &GrayFrame)> = raw
                             .identified_faces()
@@ -1017,7 +1017,7 @@ impl PipelineSession {
                 .map(|p| (p.index, p.seat_head))
                 .collect(),
         );
-        let classifier = Arc::new(pipeline.classifier().cloned());
+        let classifier = pipeline.classifier();
         let camera_poses: Vec<Iso3> = scenario.rig.cameras.iter().map(|c| c.pose).collect();
         // One pool shared by every camera lane (and stage-4 fusion):
         // N cameras fanning frame chunks produce tasks for a single
@@ -1071,7 +1071,7 @@ impl PipelineSession {
                 scenario.rig.cameras[c],
                 config.extractor,
                 Arc::clone(&seats),
-                Arc::clone(&classifier),
+                classifier.cloned(),
                 telemetry.clone(),
                 c == 0 && config.parse_video,
                 lineage.clone(),

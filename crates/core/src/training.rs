@@ -1,17 +1,37 @@
-//! Training the emotion classifier (paper §II-C: "a trained model for
-//! emotion recognition").
+//! The emotion classifier (paper §II-C: "a trained model for emotion
+//! recognition"): where the pipeline's model comes from, and how it
+//! is trained.
 //!
 //! The paper uses a model pretrained on real expression data; here the
 //! training set is generated from the same face sprites the renderer
 //! draws (see `dievent-scene::face`), which is the honest synthetic
 //! equivalent: the classifier learns from the deployment domain's
 //! imagery, then runs on extractor-cropped patches at inference time.
+//!
+//! The model is an input to the pipeline, not work it does per run.
+//! The default config's model ships with the crate:
+//! `default_classifier.json` is exactly what
+//! [`train_emotion_classifier`] returns for
+//! [`TrainingSetConfig::default`] and [`DEFAULT_TRAINING_SEED`]. It is
+//! parsed at most once per process, and every pipeline and session
+//! shares that one instance. Any other training config trains its own
+//! model, once per pipeline. Regenerate the artifact with
+//! `cargo run --release --example train_default_model >
+//! crates/core/src/default_classifier.json`; a test fails when it
+//! drifts from what training returns.
 
 use dievent_emotion::{Emotion, EmotionClassifier, LbpConfig, TrainReport, TrainingConfig};
 use dievent_scene::render_face_patch;
 use dievent_video::GrayFrame;
 use dievent_vision::contract;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
+
+/// Seed of the default emotion model, [`PipelineConfig::default`]'s
+/// `training_seed`.
+///
+/// [`PipelineConfig::default`]: crate::PipelineConfig
+pub const DEFAULT_TRAINING_SEED: u64 = 42;
 
 /// Training-set generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,9 +54,19 @@ impl Default for TrainingSetConfig {
     }
 }
 
+impl TrainingSetConfig {
+    /// Patches in the training set, `variants × identities ×
+    /// Emotion::COUNT`; `None` when that overflows `usize`.
+    pub(crate) fn patch_count(&self) -> Option<usize> {
+        (self.variants as usize)
+            .checked_mul(self.identities)?
+            .checked_mul(Emotion::COUNT)
+    }
+}
+
 /// Generates the labelled training set.
 pub fn default_training_set(config: &TrainingSetConfig) -> Vec<(GrayFrame, Emotion)> {
-    let mut out = Vec::with_capacity(config.variants as usize * config.identities * Emotion::COUNT);
+    let mut out = Vec::with_capacity(config.patch_count().unwrap_or(0));
     for id in 0..config.identities {
         let tone = contract::skin_tone(id);
         for v in 0..config.variants {
@@ -63,6 +93,28 @@ pub fn train_emotion_classifier(
         ..TrainingConfig::default()
     };
     EmotionClassifier::train(&data, LbpConfig::default(), &[48], seed, &tc)
+}
+
+/// `serde_json::to_string` of the default config's trained model.
+const DEFAULT_CLASSIFIER_JSON: &str = include_str!("default_classifier.json");
+
+/// The model for a training config and seed: the shared embedded
+/// default for the default config, a freshly trained one otherwise.
+pub(crate) fn load_emotion_classifier(
+    config: &TrainingSetConfig,
+    seed: u64,
+) -> Arc<EmotionClassifier> {
+    static DEFAULT: OnceLock<Arc<EmotionClassifier>> = OnceLock::new();
+    if *config == TrainingSetConfig::default() && seed == DEFAULT_TRAINING_SEED {
+        let shared = DEFAULT.get_or_init(|| {
+            let parsed = serde_json::from_str(DEFAULT_CLASSIFIER_JSON);
+            // lint:allow(no_panic): the embedded JSON is a serialized classifier, pinned byte for byte by `embedded_default_model_matches_training`
+            Arc::new(parsed.expect("the embedded default classifier parses"))
+        });
+        Arc::clone(shared)
+    } else {
+        Arc::new(train_emotion_classifier(config, seed).0)
+    }
 }
 
 #[cfg(test)]
@@ -100,14 +152,16 @@ mod tests {
         );
     }
 
-    /// FNV-1a over the value's JSON (the recipe `pool_determinism` uses).
+    /// FNV-1a (the recipe `pool_determinism` uses).
+    fn fnv_bytes(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a over the value's JSON.
     fn fnv(value: &impl serde::Serialize) -> u64 {
-        serde_json::to_string(value)
-            .expect("serializes")
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+        fnv_bytes(serde_json::to_string(value).expect("serializes").as_bytes())
     }
 
     /// Each face's batched probabilities and `top`, for one rendered
@@ -142,13 +196,41 @@ mod tests {
         // Pinned hashes: a refactor of the emotion kernels must not move
         // the trained model (whose JSON also fixes the `lbp` layout
         // that readers of the serialized model rely on), its report or
-        // its outputs by one bit.
-        assert_eq!(fnv(&a), 0xf284_6bd7_161a_57ae, "classifier JSON");
+        // its outputs by one bit. The JSON pin moved once, when the MLP
+        // stopped serializing its SGD momentum buffers: the new value is
+        // the old JSON with its `vw`/`vb` members cut out, while the
+        // report and probe pins stayed put.
+        assert_eq!(fnv(&a), 0x8e83_66ba_78e9_e7ec, "classifier JSON");
         assert_eq!(fnv(&report_a), 0xbe49_1297_2d91_a1b3, "train report JSON");
         assert_eq!(
             fnv(&probe_outputs(&a)),
             0x1032_2fa1_c7e4_4318,
             "batched probabilities and top"
+        );
+    }
+
+    #[test]
+    fn embedded_default_model_matches_training() {
+        let (trained, _) =
+            train_emotion_classifier(&TrainingSetConfig::default(), DEFAULT_TRAINING_SEED);
+        let json = serde_json::to_string(&trained).expect("serializes");
+        assert!(
+            json == DEFAULT_CLASSIFIER_JSON,
+            "the embedded default model drifted from training; regenerate with \
+             `cargo run --release --example train_default_model > \
+             crates/core/src/default_classifier.json`"
+        );
+        assert_eq!(
+            fnv_bytes(DEFAULT_CLASSIFIER_JSON.as_bytes()),
+            0x4a9d_eb2a_2718_9817,
+            "artifact bytes"
+        );
+        let loaded = load_emotion_classifier(&TrainingSetConfig::default(), DEFAULT_TRAINING_SEED);
+        assert_eq!(*loaded, trained, "the parsed model equals the trained one");
+        assert_eq!(
+            fnv(&probe_outputs(&loaded)),
+            0xa502_7c66_3a2d_daf3,
+            "loaded model's batched probabilities and top"
         );
     }
 }

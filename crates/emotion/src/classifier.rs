@@ -22,6 +22,9 @@ pub struct TrainReport {
     pub confusion: ConfusionMatrix,
 }
 
+/// Fewest labelled patches [`EmotionClassifier::train`] accepts.
+pub const MIN_TRAINING_PATCHES: usize = 10;
+
 /// LBP + MLP emotion classifier over face patches.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EmotionClassifier {
@@ -38,7 +41,8 @@ impl EmotionClassifier {
     /// report test accuracy.
     ///
     /// # Panics
-    /// Panics when fewer than 10 samples are provided.
+    /// Panics when fewer than [`MIN_TRAINING_PATCHES`] samples are
+    /// provided.
     pub fn train(
         patches: &[(GrayFrame, Emotion)],
         lbp: LbpConfig,
@@ -46,7 +50,10 @@ impl EmotionClassifier {
         seed: u64,
         tc: &TrainingConfig,
     ) -> (EmotionClassifier, TrainReport) {
-        assert!(patches.len() >= 10, "need at least 10 training patches");
+        assert!(
+            patches.len() >= MIN_TRAINING_PATCHES,
+            "need at least {MIN_TRAINING_PATCHES} training patches"
+        );
         let mut data = Dataset::new();
         let mut lbp_scratch = LbpScratch::new();
         for (patch, emotion) in patches {

@@ -40,7 +40,9 @@ pub mod label;
 pub mod lbp;
 pub mod mlp;
 
-pub use classifier::{BatchPredictions, EmotionClassifier, ExtractArena, TrainReport};
+pub use classifier::{
+    BatchPredictions, EmotionClassifier, ExtractArena, TrainReport, MIN_TRAINING_PATCHES,
+};
 pub use dataset::{ConfusionMatrix, Dataset, Normalizer};
 pub use label::Emotion;
 pub use lbp::{lbp_feature_vector_reference, lbp_feature_vector_with, LbpConfig, LbpScratch};

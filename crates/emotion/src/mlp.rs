@@ -60,9 +60,6 @@ struct Layer {
     cols: usize,
     w: Vec<f64>,
     b: Vec<f64>,
-    // Momentum buffers.
-    vw: Vec<f64>,
-    vb: Vec<f64>,
 }
 
 impl Layer {
@@ -77,8 +74,6 @@ impl Layer {
             cols,
             w,
             b: vec![0.0; rows],
-            vw: vec![0.0; rows * cols],
-            vb: vec![0.0; rows],
         }
     }
 
@@ -97,10 +92,21 @@ impl Layer {
     }
 }
 
-/// Per-layer gradient accumulators for one mini-batch.
+/// One buffer per layer parameter: a mini-batch's gradient
+/// accumulators, or the SGD momentum that lives for one
+/// [`Mlp::train`] call.
 struct Grads {
     gw: Vec<Vec<f64>>,
     gb: Vec<Vec<f64>>,
+}
+
+impl Grads {
+    fn zeros(layers: &[Layer]) -> Self {
+        Grads {
+            gw: layers.iter().map(|l| vec![0.0; l.w.len()]).collect(),
+            gb: layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
+        }
+    }
 }
 
 /// Reusable buffers for the one-sample forward pass
@@ -307,7 +313,7 @@ impl Mlp {
     /// epochs; returns the mean cross-entropy loss per epoch.
     ///
     /// Sample order is shuffled deterministically per epoch from the
-    /// model seed.
+    /// model seed. Momentum starts at zero on every call.
     ///
     /// # Panics
     /// Panics on empty data, dimension mismatch, or out-of-range labels.
@@ -334,6 +340,7 @@ impl Mlp {
         let mut order: Vec<usize> = (0..features.len()).collect();
         let mut epoch_losses = Vec::with_capacity(tc.epochs);
         let mut scratch = MlpScratch::new();
+        let mut velocity = Grads::zeros(&self.layers);
 
         for _ in 0..tc.epochs {
             // Fisher–Yates shuffle.
@@ -343,7 +350,8 @@ impl Mlp {
             }
             let mut total_loss = 0.0;
             for chunk in order.chunks(tc.batch_size.max(1)) {
-                total_loss += self.train_batch(features, labels, chunk, tc, &mut scratch);
+                total_loss +=
+                    self.train_batch(features, labels, chunk, tc, &mut velocity, &mut scratch);
             }
             epoch_losses.push(total_loss / features.len() as f64);
         }
@@ -357,12 +365,10 @@ impl Mlp {
         labels: &[usize],
         batch: &[usize],
         tc: &TrainingConfig,
+        velocity: &mut Grads,
         scratch: &mut MlpScratch,
     ) -> f64 {
-        let mut grads = Grads {
-            gw: self.layers.iter().map(|l| vec![0.0; l.w.len()]).collect(),
-            gb: self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
-        };
+        let mut grads = Grads::zeros(&self.layers);
         let mut loss = 0.0;
         for &idx in batch {
             let x = &features[idx];
@@ -411,15 +417,16 @@ impl Mlp {
         // Apply SGD with momentum and weight decay.
         let scale = 1.0 / batch.len() as f64;
         for (li, layer) in self.layers.iter_mut().enumerate() {
+            let (vw, vb) = (&mut velocity.gw[li], &mut velocity.gb[li]);
             for (i, w) in layer.w.iter_mut().enumerate() {
                 let g = grads.gw[li][i] * scale + tc.weight_decay * *w;
-                layer.vw[i] = tc.momentum * layer.vw[i] - tc.learning_rate * g;
-                *w += layer.vw[i];
+                vw[i] = tc.momentum * vw[i] - tc.learning_rate * g;
+                *w += vw[i];
             }
             for (i, b) in layer.b.iter_mut().enumerate() {
                 let g = grads.gb[li][i] * scale;
-                layer.vb[i] = tc.momentum * layer.vb[i] - tc.learning_rate * g;
-                *b += layer.vb[i];
+                vb[i] = tc.momentum * vb[i] - tc.learning_rate * g;
+                *b += vb[i];
             }
         }
         loss

@@ -274,11 +274,14 @@ impl TenantRegistry {
         scenario: &Scenario,
         requested: PipelineConfig,
     ) -> Result<Arc<TenantHandle>, (RejectCode, String)> {
-        if self.is_draining() {
-            return Err((
+        let draining = || {
+            (
                 RejectCode::Draining,
-                "server is draining; not accepting new events".into(),
-            ));
+                "server is draining; not accepting new events".to_owned(),
+            )
+        };
+        if self.is_draining() {
+            return Err(draining());
         }
         let cameras = scenario.rig.len();
         if cameras == 0 {
@@ -289,7 +292,20 @@ impl TenantRegistry {
             return Err((RejectCode::InvalidConfig, e.to_string()));
         }
 
+        // Build the pipeline before taking the registry lock: routing
+        // every tenant's frames takes that lock, and a config that
+        // trains its own classifier takes about a second here.
+        let telemetry = self
+            .telemetry
+            .with_labels(&[("tenant", &event.to_string())]);
+        let pipeline = DiEventPipeline::new_with_telemetry(config, telemetry.clone());
+
         let mut tenants = self.tenants.lock();
+        // A drain that began during the build has already collected
+        // its targets; a tenant inserted now would outlive it.
+        if self.is_draining() {
+            return Err(draining());
+        }
         // Duplicate before quota: re-opening a live event is a client
         // bug, and reporting it as quota pressure would misdirect.
         if tenants.contains_key(&event) {
@@ -308,13 +324,10 @@ impl TenantRegistry {
                 ),
             ));
         }
-        // Construct the session while holding the registry lock: a
-        // racing duplicate OpenEvent must not open two sessions. The
-        // lock is per-registry, but opens are rare control-plane work.
-        let telemetry = self
-            .telemetry
-            .with_labels(&[("tenant", &event.to_string())]);
-        let session = DiEventPipeline::new_with_telemetry(config, telemetry.clone())
+        // Open the session while holding the lock, so a racing
+        // duplicate OpenEvent cannot open a second one; this takes
+        // milliseconds.
+        let session = pipeline
             .session(scenario)
             .map_err(|e| (RejectCode::InvalidConfig, e.to_string()))?;
         let handle = Arc::new(TenantHandle {
@@ -435,6 +448,16 @@ mod tests {
         }
     }
 
+    /// A training seed other than the default trains a classifier
+    /// while the pipeline is built, which takes about a second.
+    fn training_config() -> PipelineConfig {
+        PipelineConfig {
+            classify_emotions: true,
+            training_seed: 7,
+            ..quick_config()
+        }
+    }
+
     #[test]
     fn admission_enforces_quota_drain_and_duplicates() {
         let registry = TenantRegistry::new(
@@ -464,6 +487,19 @@ mod tests {
         // Finishing one frees a slot...
         let t1 = registry.get(EventId::new(1)).expect("tenant 1 open");
         assert!(registry.finish(&t1).is_ok());
+        // ...a session that fails to open leaves its id free...
+        let mut broken = scenario.clone();
+        broken.spec.fps = 0.0;
+        let err = registry
+            .open(EventId::new(3), &broken, quick_config())
+            .err()
+            .expect("a zero frame rate fails the build");
+        assert_eq!(err.0, RejectCode::InvalidConfig);
+        assert!(registry
+            .open(EventId::new(3), &scenario, quick_config())
+            .is_ok());
+        let t3 = registry.get(EventId::new(3)).expect("tenant 3 open");
+        assert!(registry.finish(&t3).is_ok());
         // ...but draining closes the door regardless.
         registry.set_draining();
         let err = registry
@@ -471,6 +507,70 @@ mod tests {
             .err()
             .expect("draining must refuse opens");
         assert_eq!(err.0, RejectCode::Draining);
+    }
+
+    #[test]
+    fn open_builds_outside_the_registry_lock() {
+        const PROMPT: Duration = Duration::from_millis(50);
+        let registry = TenantRegistry::new(ServerConfig::default(), Telemetry::enabled());
+        let scenario = Scenario::two_camera_dinner(5, 1);
+        let (live, racing) = (EventId::new(1), EventId::new(2));
+        let open = registry
+            .open(live, &scenario, quick_config())
+            .expect("open succeeds");
+        std::thread::scope(|s| {
+            let trainer = s.spawn(|| registry.open(racing, &scenario, training_config()));
+            // A racing open of the same id does not wait for that build...
+            let start = Instant::now();
+            let quick = registry.open(racing, &scenario, quick_config());
+            assert!(
+                start.elapsed() < PROMPT,
+                "open waited {:?}",
+                start.elapsed()
+            );
+            // ...nor does routing a live tenant's frames, at any point
+            // of it.
+            let mut routed = 0;
+            while !trainer.is_finished() {
+                let start = Instant::now();
+                let handle = registry.get(live).expect("the live tenant routes");
+                assert!(start.elapsed() < PROMPT, "get waited {:?}", start.elapsed());
+                assert!(Arc::ptr_eq(&handle, &open));
+                routed += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(routed > 0, "the build ended before routing was checked");
+            // Whichever open reached the lock first holds the id; the
+            // other is refused, so the id never has two sessions.
+            let (won, lost) = match (quick, trainer.join().expect("trainer thread")) {
+                (Ok(won), Err(lost)) | (Err(lost), Ok(won)) => (won, lost),
+                _ => panic!("exactly one of two racing opens succeeds"),
+            };
+            assert_eq!(lost.0, RejectCode::DuplicateEvent);
+            assert!(registry.finish(&won).is_ok());
+        });
+        assert!(registry.finish(&open).is_ok());
+    }
+
+    #[test]
+    fn a_drain_that_begins_during_a_build_refuses_the_open() {
+        let registry = TenantRegistry::new(ServerConfig::default(), Telemetry::enabled());
+        let scenario = Scenario::two_camera_dinner(5, 1);
+        let event = EventId::new(1);
+        std::thread::scope(|s| {
+            let trainer = s.spawn(|| registry.open(event, &scenario, training_config()));
+            // Let the open pass admission and start training.
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(!trainer.is_finished(), "the build ended before the drain");
+            assert!(registry.drain_targets().is_empty());
+            let err = trainer
+                .join()
+                .expect("trainer thread")
+                .err()
+                .expect("a drain refuses an open still building");
+            assert_eq!(err.0, RejectCode::Draining);
+        });
+        assert!(registry.get(event).is_none());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use dievent_core::{
     train_emotion_classifier, DiEventPipeline, PipelineConfig, Recording, TrainingSetConfig,
+    DEFAULT_TRAINING_SEED,
 };
 use dievent_emotion::Emotion;
 use dievent_scene::{EmotionDynamicsConfig, Scenario};
@@ -17,7 +18,7 @@ use dievent_scene::{EmotionDynamicsConfig, Scenario};
 fn main() {
     // --- Classifier training report. ---
     let cfg = TrainingSetConfig::default();
-    let (_classifier, report) = train_emotion_classifier(&cfg, 42);
+    let (_classifier, report) = train_emotion_classifier(&cfg, DEFAULT_TRAINING_SEED);
     println!(
         "emotion classifier: {:.1}% held-out accuracy over {} classes",
         report.test_accuracy * 100.0,

@@ -3,7 +3,7 @@
 //! exact conservation ledger, drain-while-ingesting, the connection
 //! cap, and the live `GET /tenants` snapshot.
 
-use dievent_core::{BackpressureMode, EventId, PipelineConfig, Recording};
+use dievent_core::{BackpressureMode, EventId, PipelineConfig, Recording, TrainingSetConfig};
 use dievent_scene::Scenario;
 use dievent_server::{EventClient, EventServer, RejectCode, RejectOp, ServerConfig, ServerMsg};
 use std::io::{Read, Write};
@@ -44,8 +44,9 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
     (status, body)
 }
 
-/// Session-quota exhaustion, duplicate ids, and unknown events all
-/// come back as *typed* wire rejections carrying the op they answer.
+/// Invalid configs, session-quota exhaustion, duplicate ids, and
+/// unknown events all come back as *typed* wire rejections carrying
+/// the op they answer.
 #[test]
 fn admission_refusals_are_typed_on_the_wire() {
     let server = EventServer::bind(
@@ -58,6 +59,27 @@ fn admission_refusals_are_typed_on_the_wire() {
     .expect("bind");
     let scenario = Scenario::two_camera_dinner(4, 1);
     let mut client = EventClient::connect(server.local_addr()).expect("connect");
+
+    // Training sets that are empty or whose size overflows are refused,
+    // not a panic in the connection thread: the same connection then
+    // opens the event.
+    for (variants, identities) in [(0, 4), (1, 1 << 62)] {
+        let untrainable = PipelineConfig {
+            classify_emotions: true,
+            training: TrainingSetConfig {
+                variants,
+                identities,
+                ..TrainingSetConfig::default()
+            },
+            ..quick_config()
+        };
+        let refusal = client
+            .open_event(EventId::new(1), &scenario, untrainable)
+            .expect("io")
+            .expect_err("an untrainable training set must refuse");
+        assert_eq!(refusal.op, RejectOp::Open);
+        assert_eq!(refusal.code, RejectCode::InvalidConfig);
+    }
 
     client
         .open_event(EventId::new(1), &scenario, quick_config())
