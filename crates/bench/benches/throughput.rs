@@ -172,15 +172,22 @@ fn analysis_and_metadata(c: &mut Criterion) {
 }
 
 fn telemetry_overhead(c: &mut Criterion) {
-    // The same short end-to-end run with instrumentation off and on:
-    // the delta is the observability tax (documented target: <2% when
-    // disabled, i.e. no-op instruments must be free in practice).
+    // The same short end-to-end run with instrumentation off and on,
+    // then with the live observability plane (metrics endpoint on a
+    // free port plus the rate sampler) and with per-frame lineage
+    // tracing: each delta is one layer's observability tax
+    // (documented target: <2% when disabled, i.e. no-op instruments
+    // must be free in practice).
     let recording = Recording::capture(Scenario::two_camera_dinner(20, 3));
     let config = PipelineConfig {
         classify_emotions: false,
         parse_video: false,
         ..PipelineConfig::default()
     };
+    let mut live_plane = config;
+    live_plane.observe.http_addr = Some("127.0.0.1:0".parse().expect("loopback addr"));
+    let mut lineage = config;
+    lineage.observe.trace_lineage = true;
     let mut group = c.benchmark_group("telemetry");
     group.sample_size(10);
     group.bench_function("pipeline_20f_telemetry_disabled", |b| {
@@ -189,6 +196,14 @@ fn telemetry_overhead(c: &mut Criterion) {
     });
     group.bench_function("pipeline_20f_telemetry_enabled", |b| {
         let pipeline = DiEventPipeline::new(config);
+        b.iter(|| pipeline.run(black_box(&recording)).expect("pipeline run"))
+    });
+    group.bench_function("pipeline_20f_live_plane", |b| {
+        let pipeline = DiEventPipeline::new(live_plane);
+        b.iter(|| pipeline.run(black_box(&recording)).expect("pipeline run"))
+    });
+    group.bench_function("pipeline_20f_lineage", |b| {
+        let pipeline = DiEventPipeline::new(lineage);
         b.iter(|| pipeline.run(black_box(&recording)).expect("pipeline run"))
     });
     group.finish();

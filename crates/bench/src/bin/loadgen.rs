@@ -1,10 +1,7 @@
 //! Multi-tenant load generator: drives N simulated dining venues
 //! against one `EventServer` over the framed TCP protocol and writes
 //! the numbers to a JSON report (default `BENCH_7.json`; override with
-//! `--out FILE` or the first positional argument). With
-//! `--merge-into FILE` the run is instead embedded as the `"server"`
-//! subsection of an existing report (e.g. the perf runner's BENCH
-//! JSON), so kernel and tenant-level numbers land in one file.
+//! `--out FILE` or the first positional argument).
 //!
 //! Each venue is one client thread with its own connection: it opens
 //! its event, streams a shared pre-rendered two-camera recording
@@ -272,21 +269,6 @@ fn main() {
             "camera_fps": (frames * cameras) as f64 / baseline_s,
         },
     });
-    // `--merge-into FILE`: embed this run as the `"server"` subsection
-    // of an existing report (the perf runner's BENCH file), so one JSON
-    // carries both the microbench and the tenant-level numbers.
-    if let Some(merge_path) = arg_value(&args, "--merge-into") {
-        let text = std::fs::read_to_string(&merge_path).expect("read merge target");
-        let mut target = serde_json::parse(&text).expect("parse merge target");
-        let serde_json::Value::Object(obj) = &mut target else {
-            panic!("merge target must be a JSON object");
-        };
-        obj.insert("server".to_string(), report.clone());
-        let rendered = serde_json::to_string_pretty(&target).expect("render json");
-        std::fs::write(&merge_path, rendered + "\n").expect("write merge target");
-        eprintln!("merged server section into {merge_path}");
-        return;
-    }
     let rendered = serde_json::to_string_pretty(&report).expect("render json");
     std::fs::write(&out_path, rendered + "\n").expect("write report");
     eprintln!("wrote {out_path}");

@@ -77,8 +77,7 @@ pub enum BackpressureMode {
     DropOldest,
 }
 
-/// Streaming-engine settings, embedded in
-/// [`PipelineConfig`](crate::PipelineConfig).
+/// Streaming-engine settings, embedded in [`PipelineConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamingConfig {
     /// Bounded per-camera input queue length (frames). Must be ≥ 1.
@@ -130,7 +129,8 @@ pub struct FrameAnalysis {
 #[derive(Debug, Clone, Default)]
 pub struct FinishOptions {
     /// Per-frame ground-truth look-at matrices (empty = no validation;
-    /// the reported [`MatrixValidation`] is then all zeros).
+    /// the reported [`MatrixValidation`](dievent_analysis::MatrixValidation)
+    /// is then all zeros).
     pub ground_truth: Vec<LookAtMatrix>,
     /// Time-invariant context carried into the metadata repository.
     pub context: Option<TimeInvariantContext>,

@@ -268,9 +268,9 @@ pub fn lbp_feature_vector_with(
 
 /// The oracle for [`lbp_feature_vector_with`]: the same descriptor
 /// built exclusively from the clamped per-pixel `lbp_code` with f64
-/// accumulation. Tests (`tests/property_kernels.rs`) and the `perf`
-/// runner compare the production kernel against it; it is never used
-/// on the hot path.
+/// accumulation. The property tests (`tests/property_kernels.rs`)
+/// compare the production kernel against it; it is never used on the
+/// hot path.
 pub fn lbp_feature_vector_reference(frame: &GrayFrame, config: &LbpConfig) -> Vec<f64> {
     let table = uniform_table();
     let g = config.grid.max(1);

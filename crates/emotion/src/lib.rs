@@ -17,8 +17,8 @@
 //!   LBP → MLP pipeline applied to face patches.
 //!
 //! Each kernel has one production entry point, allocation-free with
-//! reused buffers, and at most one oracle that tests and the `perf`
-//! runner check it against bit for bit:
+//! reused buffers, and at most one oracle that tests check it against
+//! bit for bit:
 //!
 //! | Kernel | Production entry point | Oracle |
 //! |---|---|---|

@@ -23,10 +23,11 @@
 //!
 //! # Blocking and helping
 //!
-//! Every join point ([`ThreadPool::scope`], [`ThreadPool::parallel_map`],
-//! [`ThreadPool::parallel_for`]) blocks until its tasks complete — and
-//! while blocked, the waiting thread *helps*: it executes queued pool
-//! tasks instead of sleeping. This has two consequences:
+//! Both join points ([`ThreadPool::scope`] and
+//! [`ThreadPool::parallel_chunk_map`]) block until their tasks
+//! complete — and while blocked, the waiting thread *helps*: it
+//! executes queued pool tasks instead of sleeping. This has two
+//! consequences:
 //!
 //! * a nested `scope` from inside a pool worker cannot deadlock, even
 //!   when every worker is blocked in a join — each blocked worker keeps
@@ -45,11 +46,11 @@
 //!
 //! # Determinism
 //!
-//! [`ThreadPool::parallel_map`] and [`ThreadPool::parallel_chunk_map`]
-//! place results by input position, so their output is bit-identical to
-//! a sequential loop regardless of worker count, chunk boundaries, or
-//! scheduling order. The pipeline's `pool_parallel ≡ sequential` digest
-//! guarantee is built on this property.
+//! [`ThreadPool::parallel_chunk_map`] places results by input
+//! position, so its output is bit-identical to a sequential loop
+//! regardless of worker count, chunk boundaries, or scheduling order.
+//! The pipeline's `pool_parallel ≡ sequential` digest guarantee is
+//! built on this property.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -462,19 +463,6 @@ impl ThreadPool {
         }
     }
 
-    /// Maps `f` over `items` on the pool, returning results in input
-    /// order. Chunking is internal; see
-    /// [`parallel_chunk_map`](Self::parallel_chunk_map) to control it
-    /// (e.g. to reuse per-chunk scratch buffers).
-    pub fn parallel_map<T: Sync, R: Send>(
-        &self,
-        items: &[T],
-        f: impl Fn(&T) -> R + Sync,
-    ) -> Result<Vec<R>, PoolError> {
-        let chunk = default_chunk(items.len(), self.threads());
-        self.parallel_chunk_map(items, chunk, |_, chunk| chunk.iter().map(&f).collect())
-    }
-
     /// Splits `items` into contiguous chunks of at most `chunk_size`,
     /// maps each chunk on the pool with `f(offset, chunk)`, and
     /// returns the concatenated results in input order. `f` runs once
@@ -514,12 +502,6 @@ impl ThreadPool {
             }
         }
         Ok(out)
-    }
-
-    /// Runs `f(i)` for every `i` in `0..len` on the pool.
-    pub fn parallel_for(&self, len: usize, f: impl Fn(usize) + Sync) -> Result<(), PoolError> {
-        let indices: Vec<usize> = (0..len).collect();
-        self.parallel_map(&indices, |&i| f(i)).map(|_| ())
     }
 
     /// Blocks until `batch` completes, executing queued pool tasks
@@ -601,18 +583,11 @@ impl<'env> Scope<'env> {
     }
 }
 
-/// Default chunk size: enough chunks for 4-way imbalance smoothing per
-/// worker, never zero.
-fn default_chunk(len: usize, threads: usize) -> usize {
-    let target_chunks = threads.max(1) * 4;
-    len.div_ceil(target_chunks).max(1)
-}
-
-/// Per-worker-thread storage: each thread that calls [`with`]
-/// (`WorkerLocal::with`) gets its own lazily-created `T`, reused across
-/// calls from that thread. Built for arena-style scratch buffers in
-/// pool-fanned closures — each pool worker warms its own arena once and
-/// then reuses it for every chunk it steals, with no cross-thread
+/// Per-worker-thread storage: each thread that calls
+/// [`with`](WorkerLocal::with) gets its own lazily-created `T`, reused
+/// across calls from that thread. Built for arena-style scratch buffers
+/// in pool-fanned closures — each pool worker warms its own arena once
+/// and then reuses it for every chunk it steals, with no cross-thread
 /// contention during the closure body.
 ///
 /// The value is *removed* from the map while the closure runs and
@@ -650,15 +625,17 @@ mod tests {
     use std::sync::atomic::AtomicU32;
 
     #[test]
-    fn parallel_map_preserves_order() {
+    fn chunk_map_preserves_order() {
         let pool = ThreadPool::new(4);
         let items: Vec<u64> = (0..1000).collect();
-        let out = pool.parallel_map(&items, |&x| x * 2).expect("map");
+        let out = pool
+            .parallel_chunk_map(&items, 16, |_, c| c.iter().map(|&x| x * 2).collect())
+            .expect("map");
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn parallel_map_matches_sequential_for_any_chunking() {
+    fn chunk_map_matches_sequential_for_any_chunking() {
         let pool = ThreadPool::new(3);
         let items: Vec<u64> = (0..257).collect();
         let reference: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 7).collect();
@@ -753,8 +730,10 @@ mod tests {
                 let done = &done;
                 s.spawn(move || {
                     ThreadPool::global()
-                        .parallel_for(32, |_| {
-                            std::thread::sleep(Duration::from_micros(200));
+                        .scope(|inner| {
+                            for _ in 0..32 {
+                                inner.spawn(|| std::thread::sleep(Duration::from_micros(200)));
+                            }
                         })
                         .expect("inner");
                     done.fetch_add(1, Ordering::SeqCst);
@@ -769,9 +748,9 @@ mod tests {
     fn panic_in_task_is_reported_not_fatal() {
         let pool = ThreadPool::new(2);
         let err = pool
-            .parallel_map(&[1u32, 2, 3, 4, 5, 6, 7, 8], |&x| {
-                assert!(x != 5, "task five exploded");
-                x
+            .parallel_chunk_map(&[1u32, 2, 3, 4, 5, 6, 7, 8], 1, |_, c| {
+                assert!(c[0] != 5, "task five exploded");
+                c.to_vec()
             })
             .expect_err("must report the panic");
         let PoolError::WorkerPanicked { message } = err;
@@ -780,7 +759,9 @@ mod tests {
             "payload should surface: {message:?}"
         );
         // The pool survives and keeps working.
-        let ok = pool.parallel_map(&[1u32, 2, 3], |&x| x + 1).expect("map");
+        let ok = pool
+            .parallel_chunk_map(&[1u32, 2, 3], 1, |_, c| c.iter().map(|&x| x + 1).collect())
+            .expect("map");
         assert_eq!(ok, vec![2, 3, 4]);
     }
 
@@ -823,7 +804,7 @@ mod tests {
                             let pool = &pool;
                             inner.spawn(move || {
                                 let n = pool
-                                    .parallel_map(&[1u32, 2, 3], |&x| x)
+                                    .parallel_chunk_map(&[1u32, 2, 3], 1, |_, c| c.to_vec())
                                     .expect("innermost")
                                     .len();
                                 total.fetch_add(n as u32, Ordering::SeqCst);
@@ -842,9 +823,16 @@ mod tests {
     fn zero_len_and_tiny_inputs() {
         let pool = ThreadPool::new(2);
         let empty: Vec<u32> = Vec::new();
-        assert_eq!(pool.parallel_map(&empty, |&x| x).expect("empty"), empty);
-        assert_eq!(pool.parallel_map(&[9u32], |&x| x).expect("one"), vec![9]);
-        pool.parallel_for(0, |_| {}).expect("for0");
+        let copy = |_: usize, c: &[u32]| c.to_vec();
+        assert_eq!(
+            pool.parallel_chunk_map(&empty, 1, copy).expect("empty"),
+            empty
+        );
+        assert_eq!(
+            pool.parallel_chunk_map(&[9u32], 1, copy).expect("one"),
+            vec![9]
+        );
+        pool.scope(|_| {}).expect("empty scope");
     }
 
     #[test]
@@ -859,7 +847,12 @@ mod tests {
     fn stats_count_tasks_and_injection() {
         let pool = ThreadPool::new(2);
         let before = pool.stats();
-        pool.parallel_for(100, |_| {}).expect("for");
+        pool.scope(|s| {
+            for _ in 0..100 {
+                s.spawn(|| {});
+            }
+        })
+        .expect("scope");
         let after = pool.stats();
         assert!(after.tasks > before.tasks);
         assert!(after.injected > before.injected, "external submits inject");
@@ -869,8 +862,12 @@ mod tests {
     fn stats_attribute_queue_wait_and_run_time() {
         let pool = ThreadPool::new(2);
         let before = pool.stats();
-        pool.parallel_for(8, |_| std::thread::sleep(Duration::from_millis(2)))
-            .expect("for");
+        pool.scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| std::thread::sleep(Duration::from_millis(2)));
+            }
+        })
+        .expect("scope");
         let after = pool.stats();
         assert!(
             after.run_ns >= before.run_ns + 8 * 2_000_000,
@@ -904,8 +901,14 @@ mod tests {
         let reference: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in [1usize, 2, 5, 8] {
             let pool = ThreadPool::new(threads);
-            let out = pool.parallel_map(&items, |&x| x * 3 + 1).expect("map");
-            assert_eq!(out, reference, "{threads} threads");
+            for chunk in [1, 3, 64, 500] {
+                let out = pool
+                    .parallel_chunk_map(&items, chunk, |_, c| {
+                        c.iter().map(|&x| x * 3 + 1).collect()
+                    })
+                    .expect("map");
+                assert_eq!(out, reference, "{threads} threads, chunk size {chunk}");
+            }
         }
     }
 
@@ -920,18 +923,19 @@ mod tests {
 
     #[test]
     fn worker_local_isolates_threads() {
-        let local = Arc::new(WorkerLocal::<Vec<u64>>::new());
+        let local = WorkerLocal::<Vec<u64>>::new();
         let pool = ThreadPool::new(3);
         let items: Vec<u64> = (0..64).collect();
         let out = pool
-            .parallel_map(&items, {
-                let local = Arc::clone(&local);
-                move |&x| {
-                    local.with(|v| {
-                        v.push(x);
-                        v.len()
+            .parallel_chunk_map(&items, 4, |_, c| {
+                c.iter()
+                    .map(|&x| {
+                        local.with(|v| {
+                            v.push(x);
+                            v.len()
+                        })
                     })
-                }
+                    .collect()
             })
             .expect("map");
         // Every call appended exactly one element to *some* thread's

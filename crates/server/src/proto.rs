@@ -14,8 +14,7 @@
 //! the server-side frame is bit-identical to the client's.
 //!
 //! Decoding maps 1:1 onto the typed session API: a [`ClientMsg`]
-//! ingest message converts to exactly one
-//! [`SessionInput`](dievent_core::SessionInput) via
+//! ingest message converts to exactly one [`SessionInput`] via
 //! [`ClientMsg::into_input`], so the wire format and the in-process
 //! API cannot drift.
 

@@ -9,9 +9,11 @@
 //! * **Metrics** ([`Telemetry::counter`], [`Telemetry::gauge`],
 //!   [`Telemetry::histogram`]) — named instruments in a process-local
 //!   registry. Histograms are log-scale with p50/p95/p99 summaries.
-//! * **Sinks** ([`sink`]) — a human-readable tree dump, a JSON-lines
-//!   trace exporter, and a Prometheus-style text exposition, all fed
-//!   from one [`Snapshot`].
+//! * **Exporters** ([`Telemetry::render_tree`],
+//!   [`Telemetry::trace_jsonl`], [`Telemetry::render_prometheus`]) — a
+//!   human-readable tree dump, a JSON-lines trace, and a
+//!   Prometheus-style text exposition, all rendered from one
+//!   [`Snapshot`].
 //!
 //! A [`Telemetry`] handle is a cheap clone (one `Arc`). A *disabled*
 //! handle ([`Telemetry::disabled`]) carries no allocation at all:
@@ -39,7 +41,7 @@ pub mod lineage;
 pub mod live;
 mod metrics;
 mod report;
-pub mod sink;
+mod sink;
 mod span;
 
 pub use http::{validate_exposition, ExpositionStats};
@@ -52,7 +54,7 @@ pub use live::{
 };
 pub use metrics::{Counter, Gauge, Histogram};
 pub use report::{CounterEntry, GaugeEntry, HistogramSummary, SpanSummary, TelemetryReport};
-pub use sink::{JsonlSink, PrometheusSink, Sink, Snapshot, TreeSink};
+pub use sink::Snapshot;
 pub use span::{EventRecord, FieldValue, SpanGuard, SpanRecord};
 
 use metrics::Registry;
@@ -359,28 +361,19 @@ impl Telemetry {
         }
     }
 
-    /// Renders the span tree + registry summary as human-readable text
-    /// (the [`TreeSink`] output).
+    /// Renders the span tree + registry summary as human-readable text.
     pub fn render_tree(&self) -> String {
-        self.render_with(TreeSink(Vec::new()))
+        sink::tree(&self.snapshot())
     }
 
     /// Renders the trace as JSON lines (one span or event per line).
     pub fn trace_jsonl(&self) -> String {
-        self.render_with(JsonlSink(Vec::new()))
+        sink::jsonl(&self.snapshot())
     }
 
     /// Renders the registry in Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
-        self.render_with(PrometheusSink(Vec::new()))
-    }
-
-    fn render_with<S: Sink + AsBytes>(&self, mut sink: S) -> String {
-        let snapshot = self.snapshot();
-        // Vec<u8>-backed sinks cannot fail; an error would only truncate
-        // the rendered output, never corrupt registry state.
-        let _ = sink.export(&snapshot);
-        String::from_utf8_lossy(&sink.into_bytes()).into_owned()
+        sink::prometheus(&self.snapshot())
     }
 }
 
@@ -390,29 +383,6 @@ fn as_label_refs(labels: &[(String, String)]) -> Vec<(&str, &str)> {
         .iter()
         .map(|(k, v)| (k.as_str(), v.as_str()))
         .collect()
-}
-
-/// Internal: sinks over `Vec<u8>` that can give their buffer back.
-trait AsBytes {
-    fn into_bytes(self) -> Vec<u8>;
-}
-
-impl AsBytes for TreeSink<Vec<u8>> {
-    fn into_bytes(self) -> Vec<u8> {
-        self.0
-    }
-}
-
-impl AsBytes for JsonlSink<Vec<u8>> {
-    fn into_bytes(self) -> Vec<u8> {
-        self.0
-    }
-}
-
-impl AsBytes for PrometheusSink<Vec<u8>> {
-    fn into_bytes(self) -> Vec<u8> {
-        self.0
-    }
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! different times diff into a *windowed* view: frames/s per camera,
 //! drops/s, steal rate, and per-window latency quantiles (from
 //! histogram bucket deltas) — the things a final-report average hides.
-//! Windows land in a bounded ring, served over HTTP by [`crate::http`]
-//! and attached to the final report as a trajectory.
+//! Windows land in a bounded ring, served over HTTP by the plane's
+//! embedded exporter and attached to the final report as a trajectory.
 //!
 //! ```
 //! use dievent_telemetry::{LiveOptions, LivePlane, Telemetry};

@@ -1,17 +1,17 @@
-//! Pluggable exporters.
+//! Exporters: three renderers of one [`Snapshot`], each behind a
+//! [`Telemetry`](crate::Telemetry) method:
 //!
-//! Every sink consumes the same [`Snapshot`]; pick the format:
-//!
-//! * [`TreeSink`] — human-readable span tree plus registry summary
-//!   (what `dievent --metrics` prints to stderr);
-//! * [`JsonlSink`] — one JSON object per span/event line (what
-//!   `dievent --trace FILE` writes);
-//! * [`PrometheusSink`] — text exposition of the registry.
+//! * [`tree`] — human-readable span tree plus registry summary
+//!   (`render_tree`; what `dievent --metrics` prints to stderr);
+//! * [`jsonl`] — one JSON object per span/event line (`trace_jsonl`;
+//!   what `dievent --trace FILE` writes);
+//! * [`prometheus`] — text exposition of the registry
+//!   (`render_prometheus`; what `GET /metrics` serves).
 
 use crate::report::TelemetryReport;
 use crate::span::{EventRecord, FieldValue, SpanRecord};
 use serde_json::json;
-use std::io::{self, Write};
+use std::fmt::{self, Write};
 
 /// A point-in-time copy of a telemetry domain.
 #[derive(Debug, Clone, Default)]
@@ -24,10 +24,12 @@ pub struct Snapshot {
     pub report: TelemetryReport,
 }
 
-/// An exporter of telemetry snapshots.
-pub trait Sink {
-    /// Writes the snapshot in this sink's format.
-    fn export(&mut self, snapshot: &Snapshot) -> io::Result<()>;
+/// Runs `write` into a fresh string. Writing into a `String` cannot
+/// fail; an error would only truncate the rendered output.
+fn render(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
+    let mut out = String::new();
+    let _ = write(&mut out);
+    out
 }
 
 fn fmt_seconds(s: f64) -> String {
@@ -50,11 +52,8 @@ fn fmt_fields(fields: &[(String, FieldValue)]) -> String {
 }
 
 /// Human-readable tree dump.
-pub struct TreeSink<W: Write>(pub W);
-
-impl<W: Write> Sink for TreeSink<W> {
-    fn export(&mut self, snapshot: &Snapshot) -> io::Result<()> {
-        let w = &mut self.0;
+pub(crate) fn tree(snapshot: &Snapshot) -> String {
+    render(|w| {
         if !snapshot.spans.is_empty() {
             writeln!(w, "spans:")?;
             // Children of each span, in open order.
@@ -97,15 +96,15 @@ impl<W: Write> Sink for TreeSink<W> {
             }
         }
         Ok(())
-    }
+    })
 }
 
-fn write_subtree<W: Write>(
-    w: &mut W,
+fn write_subtree(
+    w: &mut String,
     spans: &[SpanRecord],
     node: &SpanRecord,
     depth: usize,
-) -> io::Result<()> {
+) -> fmt::Result {
     writeln!(
         w,
         "{}{} ({}){}",
@@ -120,12 +119,8 @@ fn write_subtree<W: Write>(
     Ok(())
 }
 
-/// JSON-lines trace exporter: one object per span (`"kind":"span"`)
-/// and per event (`"kind":"event"`), spans sorted by start time.
-pub struct JsonlSink<W: Write>(pub W);
-
-fn render_line(v: &serde_json::Value) -> io::Result<String> {
-    serde_json::to_string(v).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+fn render_line(v: &serde_json::Value) -> Result<String, fmt::Error> {
+    serde_json::to_string(v).map_err(|_| fmt::Error)
 }
 
 fn fields_object(fields: &[(String, FieldValue)]) -> serde_json::Value {
@@ -144,47 +139,38 @@ fn fields_object(fields: &[(String, FieldValue)]) -> serde_json::Value {
     obj
 }
 
-impl<W: Write> Sink for JsonlSink<W> {
-    fn export(&mut self, snapshot: &Snapshot) -> io::Result<()> {
+/// JSON-lines trace: one object per span (`"kind":"span"`) and per
+/// event (`"kind":"event"`), spans sorted by start time.
+pub(crate) fn jsonl(snapshot: &Snapshot) -> String {
+    render(|w| {
         let mut spans = snapshot.spans.to_vec();
         spans.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
         for s in &spans {
             let line = json!({
                 "kind": "span",
                 "id": s.id,
-                "parent": serde_json::to_value(&s.parent)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
+                "parent": serde_json::to_value(&s.parent).map_err(|_| fmt::Error)?,
                 "name": s.name,
                 "thread": s.thread,
                 "start_s": s.start_s,
                 "duration_s": s.duration_s,
                 "fields": fields_object(&s.fields),
             });
-            writeln!(self.0, "{}", render_line(&line)?)?;
+            writeln!(w, "{}", render_line(&line)?)?;
         }
         for e in &snapshot.events {
             let line = json!({
                 "kind": "event",
-                "span": serde_json::to_value(&e.span)
-                    .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?,
+                "span": serde_json::to_value(&e.span).map_err(|_| fmt::Error)?,
                 "name": e.name,
                 "t_s": e.t_s,
                 "fields": fields_object(&e.fields),
             });
-            writeln!(self.0, "{}", render_line(&line)?)?;
+            writeln!(w, "{}", render_line(&line)?)?;
         }
         Ok(())
-    }
+    })
 }
-
-/// Prometheus text exposition of the registry (spans and events are
-/// not exported — scrape formats carry metrics only).
-///
-/// Conformance notes: counters carry the conventional `_total` suffix,
-/// every family gets `# HELP` and `# TYPE` lines, histograms are
-/// exported as summaries with `quantile` labels, and label values /
-/// help text are escaped per the exposition format.
-pub struct PrometheusSink<W: Write>(pub W);
 
 /// `frames_processed{camera="0"}` → `("frames_processed", `{camera="0"}`)`.
 fn split_labels(rendered: &str) -> (&str, &str) {
@@ -224,7 +210,8 @@ fn escape_help(text: &str) -> String {
 }
 
 /// Help text for the pipeline's well-known instrument families; the
-/// sink falls back to the metric name for instruments it doesn't know.
+/// exposition falls back to the metric name for instruments it doesn't
+/// know.
 fn help_for(base: &str) -> Option<&'static str> {
     Some(match base {
         "frames_processed" => "Frames fully processed by a camera's stage-3 extractor",
@@ -260,12 +247,18 @@ fn help_for(base: &str) -> Option<&'static str> {
     })
 }
 
-impl<W: Write> Sink for PrometheusSink<W> {
-    fn export(&mut self, snapshot: &Snapshot) -> io::Result<()> {
-        let w = &mut self.0;
+/// Prometheus text exposition of the registry (spans and events are
+/// not exported — scrape formats carry metrics only).
+///
+/// Conformance notes: counters carry the conventional `_total` suffix,
+/// every family gets `# HELP` and `# TYPE` lines, histograms are
+/// exported as summaries with `quantile` labels, and label values /
+/// help text are escaped per the exposition format.
+pub(crate) fn prometheus(snapshot: &Snapshot) -> String {
+    render(|w| {
         let r = &snapshot.report;
         let mut last_family: Option<String> = None;
-        let mut family = |w: &mut W, raw: &str, exposed: &str, kind: &str| -> io::Result<()> {
+        let mut family = |w: &mut String, raw: &str, exposed: &str, kind: &str| -> fmt::Result {
             if last_family.as_deref() != Some(exposed) {
                 let help = help_for(raw).unwrap_or(raw);
                 writeln!(w, "# HELP dievent_{exposed} {}", escape_help(help))?;
@@ -316,7 +309,7 @@ impl<W: Write> Sink for PrometheusSink<W> {
             writeln!(w, "dievent_{count} {}", s.count)?;
         }
         Ok(())
-    }
+    })
 }
 
 #[cfg(test)]
