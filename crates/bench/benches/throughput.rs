@@ -13,7 +13,7 @@ use dievent_core::{
 use dievent_emotion::{lbp_feature_vector_with, Emotion, ExtractArena, LbpConfig, LbpScratch};
 use dievent_metadata::{MetaRecord, MetadataRepository, Query, RecordKind};
 use dievent_scene::{render_face_patch, Scenario};
-use dievent_video::frame_distance;
+use dievent_video::{frame_distance, VideoParser};
 use dievent_vision::{
     detect_faces, estimate_pose, locate_landmarks, DetectorConfig, LandmarkConfig, PoseConfig,
 };
@@ -61,6 +61,24 @@ fn rendering_and_vision(c: &mut Criterion) {
     let prev = recording.frame(0, 99);
     c.bench_function("frame_distance_640x480", |b| {
         b.iter(|| frame_distance(black_box(&prev), black_box(&frame)))
+    });
+
+    // One streamed camera-0 monitor frame, as a session parses it:
+    // histogram, edge map, distance to its predecessor, and the shot
+    // and key-frame bookkeeping. The parser restarts every 610 frames
+    // (the prototype's length), so its state stays event-sized.
+    let monitor: Vec<_> = (0..64)
+        .map(|f| recording.frame(0, f).downsample2().downsample2())
+        .collect();
+    let mut parser = VideoParser::default();
+    c.bench_function("parse_push_160x120", |b| {
+        b.iter(|| {
+            if parser.frames() == 610 {
+                parser = VideoParser::default();
+            }
+            let next = &monitor[parser.frames() % monitor.len()];
+            parser.push(black_box(next));
+        })
     });
 }
 

@@ -21,6 +21,16 @@ pub enum DiEventError {
         /// Number of cameras the session was built with.
         cameras: usize,
     },
+    /// A frame's size differs from the session's video spec; it was
+    /// refused before it took a frame index.
+    FrameSize {
+        /// The camera the frame was pushed for.
+        camera: CameraId,
+        /// The session's `(width, height)`.
+        expected: (u32, u32),
+        /// The refused frame's `(width, height)`.
+        got: (u32, u32),
+    },
     /// The session no longer accepts input on this path: it was closed,
     /// or the camera's feed was detached with
     /// [`PipelineSession::take_feeds`](crate::PipelineSession::take_feeds).
@@ -56,6 +66,14 @@ impl fmt::Display for DiEventError {
             DiEventError::UnknownCamera { camera, cameras } => {
                 write!(f, "camera {camera} out of range (rig has {cameras})")
             }
+            DiEventError::FrameSize {
+                camera,
+                expected: (ew, eh),
+                got: (gw, gh),
+            } => write!(
+                f,
+                "camera {camera} frame is {gw}x{gh}, the session's frames are {ew}x{eh}"
+            ),
             DiEventError::SessionClosed => write!(f, "session is closed to new input"),
             DiEventError::CameraThreadPanicked { camera } => {
                 write!(f, "camera {camera} lane thread panicked")
@@ -104,6 +122,13 @@ mod tests {
         };
         assert!(spawn.to_string().contains("camera 2"));
         assert!(spawn.to_string().contains("out of threads"));
+        let size = DiEventError::FrameSize {
+            camera: CameraId::new(0),
+            expected: (640, 480),
+            got: (320, 240),
+        };
+        assert!(size.to_string().contains("320x240"));
+        assert!(size.to_string().contains("640x480"));
     }
 
     #[test]

@@ -174,6 +174,9 @@ struct WorkerOutput {
 /// end-of-stream for that camera.
 pub struct CameraFeed {
     camera: usize,
+    /// The session's frame size: every [`SessionInput::Frame`] must
+    /// have it.
+    frame_size: (u32, u32),
     next_index: usize,
     mode: BackpressureMode,
     tx: Sender<LaneInput>,
@@ -190,9 +193,23 @@ impl CameraFeed {
     /// [`BackpressureMode::Block`] this blocks while the queue is full;
     /// in [`BackpressureMode::DropOldest`] it evicts the stalest queued
     /// item instead.
+    ///
+    /// A frame whose size is not the session's is refused with
+    /// [`DiEventError::FrameSize`] before it takes an index, so the
+    /// camera's next input takes the index it would have had.
     #[must_use = "an ignored Err means the input was never enqueued"]
     pub fn push_input(&mut self, input: SessionInput) -> Result<(), DiEventError> {
         let camera = self.camera;
+        if let SessionInput::Frame(frame) = &input {
+            let got = (frame.width(), frame.height());
+            if got != self.frame_size {
+                return Err(DiEventError::FrameSize {
+                    camera: CameraId::new(camera),
+                    expected: self.frame_size,
+                    got,
+                });
+            }
+        }
         let index = self.next_index;
         self.next_index += 1;
         // The ingest stamp marks the instant the producer offers the
@@ -295,8 +312,9 @@ struct Sequencer {
     cameras_reporting: Vec<usize>,
     raw_matrices: Vec<LookAtMatrix>,
     emotion_frames: Vec<Vec<EmotionEstimate>>,
-    /// Camera-0 monitor frames for video composition analysis.
-    monitor: BTreeMap<usize, GrayFrame>,
+    /// Stage-2 video composition analysis, fed camera 0's monitor
+    /// frames as they arrive (`None` when `parse_video` is off).
+    parser: Option<VideoParser>,
     /// Stage-4 fan-out pool.
     pool: ThreadPool,
     /// Set when a pool task died mid-fusion; surfaced as
@@ -354,7 +372,9 @@ impl Sequencer {
             cameras_reporting: Vec::new(),
             raw_matrices: Vec::new(),
             emotion_frames: Vec::new(),
-            monitor: BTreeMap::new(),
+            parser: config
+                .parse_video
+                .then(|| VideoParser::new(config.parser).with_telemetry(telemetry.clone())),
             occupancy: telemetry.gauge("session.reorder_occupancy"),
             evictions: telemetry.counter("session.reorder_evictions"),
             late: telemetry.counter("session.late_arrivals"),
@@ -376,8 +396,13 @@ impl Sequencer {
 
     fn insert(&mut self, out: WorkerOutput) {
         self.returned[out.camera] = self.returned[out.camera].max(Some(out.index));
-        if let Some(frame) = out.monitor {
-            self.monitor.insert(out.index, frame);
+        // Camera 0's lane returns its outputs in index order, so its
+        // monitor frames reach the parser in frame order; frames the
+        // lane never returned (shed under drop-oldest) are skipped.
+        // Late frames are parsed too: the video is camera 0's
+        // recording, whatever fusion did with them.
+        if let (Some(parser), Some(frame)) = (self.parser.as_mut(), out.monitor) {
+            parser.push(&frame);
         }
         if out.index < self.frontier {
             // The frame was already fused without this camera.
@@ -1057,6 +1082,7 @@ impl PipelineSession {
             let labels = &[("camera", label.as_str())][..];
             feeds.push(Some(CameraFeed {
                 camera: c,
+                frame_size: (scenario.spec.width, scenario.spec.height),
                 next_index: 0,
                 mode: config.streaming.backpressure,
                 tx,
@@ -1339,23 +1365,20 @@ impl PipelineSession {
         } = self;
 
         // --- Stage 2: video composition analysis (monitor stream). ---
+        // Shots and key frames were settled as the frames arrived; only
+        // the last shot and the scene links remain.
         let structure = {
             let _stage = telemetry.span("stage.parse");
-            if config.parse_video {
-                let monitor: Vec<GrayFrame> = std::mem::take(&mut sequencer.monitor)
-                    .into_values()
-                    .collect();
-                let mut spec = spec;
-                spec.width = monitor.first().map_or(spec.width / 4, |f| f.width());
-                spec.height = monitor.first().map_or(spec.height / 4, |f| f.height());
-                Some(
-                    VideoParser::new(config.parser)
-                        .with_telemetry(telemetry.clone())
-                        .parse_frames(spec, &monitor),
-                )
-            } else {
-                None
-            }
+            sequencer.parser.take().map(|parser| {
+                let (width, height) = parser
+                    .frame_size()
+                    .unwrap_or((spec.width / 4, spec.height / 4));
+                parser.finish(VideoSpec {
+                    width,
+                    height,
+                    ..spec
+                })
+            })
         };
 
         // --- Stage 4: fusion of stragglers + multilayer analysis. ---

@@ -94,7 +94,8 @@ pub enum RejectCode {
     BadSeq,
     /// Connection refused: the per-process connection cap is reached.
     ServerBusy,
-    /// The message could not be decoded.
+    /// The message could not be decoded, or its frame's size is not
+    /// the event's.
     Malformed,
     /// The session rejected the input (closed, worker died, ...).
     Internal,

@@ -16,8 +16,8 @@
 
 use crate::proto::RejectCode;
 use dievent_core::{
-    AnalysisDigest, BackpressureMode, CameraId, DiEventPipeline, EventAnalysis, EventId,
-    ObserveConfig, PipelineConfig, PipelineSession, SessionInput, Telemetry,
+    AnalysisDigest, BackpressureMode, CameraId, DiEventError, DiEventPipeline, EventAnalysis,
+    EventId, ObserveConfig, PipelineConfig, PipelineSession, SessionInput, Telemetry,
 };
 use dievent_scene::Scenario;
 use parking_lot::Mutex;
@@ -172,6 +172,11 @@ impl TenantHandle {
                 state.next_seq[camera.index()] = expected + 1;
                 state.pushed += 1;
                 PushOutcome::Accepted
+            }
+            // A frame that does not fit the rig is the client's error,
+            // like an undecodable one; anything else is the session's.
+            Err(e @ DiEventError::FrameSize { .. }) => {
+                PushOutcome::Refused(RejectCode::Malformed, e.to_string())
             }
             Err(e) => PushOutcome::Refused(RejectCode::Internal, e.to_string()),
         }

@@ -372,8 +372,11 @@ impl Telemetry {
     }
 
     /// Renders the registry in Prometheus text exposition format.
+    ///
+    /// Reads only the aggregated [`report`](Self::report): a scrape
+    /// copies no span or event record.
     pub fn render_prometheus(&self) -> String {
-        sink::prometheus(&self.snapshot())
+        sink::prometheus(&self.report())
     }
 }
 

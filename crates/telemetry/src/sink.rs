@@ -1,12 +1,14 @@
-//! Exporters: three renderers of one [`Snapshot`], each behind a
+//! Exporters: three renderers, each behind a
 //! [`Telemetry`](crate::Telemetry) method:
 //!
-//! * [`tree`] — human-readable span tree plus registry summary
-//!   (`render_tree`; what `dievent --metrics` prints to stderr);
-//! * [`jsonl`] — one JSON object per span/event line (`trace_jsonl`;
-//!   what `dievent --trace FILE` writes);
-//! * [`prometheus`] — text exposition of the registry
-//!   (`render_prometheus`; what `GET /metrics` serves).
+//! * [`tree`] — human-readable span tree plus registry summary of a
+//!   [`Snapshot`] (`render_tree`; what `dievent --metrics` prints to
+//!   stderr);
+//! * [`jsonl`] — one JSON object per span/event line of a [`Snapshot`]
+//!   (`trace_jsonl`; what `dievent --trace FILE` writes);
+//! * [`prometheus`] — text exposition of the aggregated
+//!   [`TelemetryReport`] alone (`render_prometheus`; what
+//!   `GET /metrics` serves, so a scrape copies no span record).
 
 use crate::report::TelemetryReport;
 use crate::span::{EventRecord, FieldValue, SpanRecord};
@@ -254,9 +256,8 @@ fn help_for(base: &str) -> Option<&'static str> {
 /// every family gets `# HELP` and `# TYPE` lines, histograms are
 /// exported as summaries with `quantile` labels, and label values /
 /// help text are escaped per the exposition format.
-pub(crate) fn prometheus(snapshot: &Snapshot) -> String {
+pub(crate) fn prometheus(r: &TelemetryReport) -> String {
     render(|w| {
-        let r = &snapshot.report;
         let mut last_family: Option<String> = None;
         let mut family = |w: &mut String, raw: &str, exposed: &str, kind: &str| -> fmt::Result {
             if last_family.as_deref() != Some(exposed) {

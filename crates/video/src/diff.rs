@@ -11,7 +11,14 @@
 //! * **edge change ratio** — fraction of edge pixels that appear or
 //!   disappear, robust to illumination shifts.
 
-use crate::frame::{GrayFrame, Histogram};
+use crate::frame::{EdgeBits, GrayFrame, Histogram};
+
+/// Sobel magnitude above which [`frame_distance`] counts a pixel as an
+/// edge.
+const DISTANCE_EDGE_THRESHOLD: u16 = 150;
+
+/// Pixels per block of [`pixel_mad`]'s sum: 255 · 2¹⁶ fits a `u32`.
+const MAD_BLOCK: usize = 1 << 16;
 
 /// Histogram intersection similarity in `[0, 1]` (1 = identical).
 pub fn histogram_intersection(a: &Histogram, b: &Histogram) -> f64 {
@@ -52,11 +59,19 @@ pub fn pixel_mad(a: &GrayFrame, b: &GrayFrame) -> f64 {
     if a.data().is_empty() {
         return 0.0;
     }
+    // Exact integer sums in `u32` lanes, widened once per block.
     let sum: u64 = a
         .data()
-        .iter()
-        .zip(b.data().iter())
-        .map(|(&x, &y)| (x as i16 - y as i16).unsigned_abs() as u64)
+        .chunks(MAD_BLOCK)
+        .zip(b.data().chunks(MAD_BLOCK))
+        .map(|(x, y)| {
+            let block: u32 = x
+                .iter()
+                .zip(y)
+                .map(|(&p, &q)| u32::from(p.abs_diff(q)))
+                .sum();
+            u64::from(block)
+        })
         .sum();
     sum as f64 / (a.data().len() as f64 * 255.0)
 }
@@ -72,36 +87,77 @@ pub fn edge_change_ratio(a: &GrayFrame, b: &GrayFrame, edge_threshold: u16) -> f
         (b.width(), b.height()),
         "frames must share dimensions"
     );
-    let ea = a.edge_map(edge_threshold);
-    let eb = b.edge_map(edge_threshold);
-    let count_a = ea.iter().filter(|&&e| e).count();
-    let count_b = eb.iter().filter(|&&e| e).count();
-    if count_a == 0 && count_b == 0 {
+    edge_bits_change_ratio(&a.edge_bits(edge_threshold), &b.edge_bits(edge_threshold))
+}
+
+/// [`edge_change_ratio`] of two same-sized packed edge maps.
+fn edge_bits_change_ratio(a: &EdgeBits, b: &EdgeBits) -> f64 {
+    if a.count == 0 && b.count == 0 {
         return 0.0;
     }
-    let exiting = ea.iter().zip(eb.iter()).filter(|&(&x, &y)| x && !y).count();
-    let entering = ea.iter().zip(eb.iter()).filter(|&(&x, &y)| !x && y).count();
-    let out_ratio = if count_a > 0 {
-        exiting as f64 / count_a as f64
+    let (mut exiting, mut entering) = (0usize, 0usize);
+    for (&x, &y) in a.words.iter().zip(&b.words) {
+        exiting += (x & !y).count_ones() as usize;
+        entering += (!x & y).count_ones() as usize;
+    }
+    let out_ratio = if a.count > 0 {
+        exiting as f64 / a.count as f64
     } else {
         1.0
     };
-    let in_ratio = if count_b > 0 {
-        entering as f64 / count_b as f64
+    let in_ratio = if b.count > 0 {
+        entering as f64 / b.count as f64
     } else {
         1.0
     };
     out_ratio.max(in_ratio)
 }
 
+/// What [`frame_distance`] needs of one frame besides its pixels,
+/// computed once so a stream compares each frame with its predecessor
+/// without recomputing either.
+#[derive(Debug, Clone)]
+pub(crate) struct FrameFeatures {
+    pub(crate) histogram: Histogram,
+    edges: EdgeBits,
+}
+
+impl FrameFeatures {
+    /// The features of a frame whose histogram counts are `counts`.
+    pub(crate) fn new(frame: &GrayFrame, counts: &[u32; crate::HISTOGRAM_BINS]) -> Self {
+        FrameFeatures {
+            histogram: Histogram::from_counts(counts, frame.data().len()),
+            edges: frame.edge_bits(DISTANCE_EDGE_THRESHOLD),
+        }
+    }
+}
+
+/// [`frame_distance`] from each frame's precomputed features.
+///
+/// # Panics
+/// Panics when the frames have different dimensions.
+pub(crate) fn feature_distance(
+    a: &GrayFrame,
+    fa: &FrameFeatures,
+    b: &GrayFrame,
+    fb: &FrameFeatures,
+) -> f64 {
+    let chi = histogram_chi_square(&fa.histogram, &fb.histogram) / 2.0;
+    let mad = pixel_mad(a, b);
+    let ecr = edge_bits_change_ratio(&fa.edges, &fb.edges);
+    0.5 * chi + 0.3 * mad + 0.2 * ecr
+}
+
 /// Blended frame dissimilarity in `[0, 1]` used by the shot detector:
 /// `0.5·χ²/2 + 0.3·MAD + 0.2·ECR` (χ² is bounded by 2 for normalized
 /// histograms, so the blend stays in the unit interval).
+///
+/// # Panics
+/// Panics when the frames have different dimensions.
 pub fn frame_distance(a: &GrayFrame, b: &GrayFrame) -> f64 {
-    let chi = histogram_chi_square(&a.histogram(), &b.histogram()) / 2.0;
-    let mad = pixel_mad(a, b);
-    let ecr = edge_change_ratio(a, b, 150);
-    0.5 * chi + 0.3 * mad + 0.2 * ecr
+    let fa = FrameFeatures::new(a, &a.histogram_counts());
+    let fb = FrameFeatures::new(b, &b.histogram_counts());
+    feature_distance(a, &fa, b, &fb)
 }
 
 #[cfg(test)]

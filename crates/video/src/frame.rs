@@ -210,16 +210,30 @@ impl GrayFrame {
 
     /// Normalized luminance [`Histogram`] of the frame.
     pub fn histogram(&self) -> Histogram {
-        let mut bins = [0.0f64; HISTOGRAM_BINS];
-        let scale = HISTOGRAM_BINS as f64 / 256.0;
-        for &v in self.data.iter() {
-            bins[(v as f64 * scale) as usize % HISTOGRAM_BINS] += 1.0;
+        Histogram::from_counts(&self.histogram_counts(), self.data.len())
+    }
+
+    /// Pixels per luminance bin: value `v` falls in bin `v >> 2`. Four
+    /// interleaved tallies keep runs of equal pixels from serializing
+    /// on one counter.
+    pub(crate) fn histogram_counts(&self) -> [u32; HISTOGRAM_BINS] {
+        let mut tallies = [[0u32; HISTOGRAM_BINS]; 4];
+        let quads = self.data.chunks_exact(4);
+        for &v in quads.remainder() {
+            tallies[0][usize::from(v >> 2)] += 1;
         }
-        let total = self.data.len().max(1) as f64;
-        for b in &mut bins {
-            *b /= total;
+        for quad in quads {
+            for (tally, &v) in tallies.iter_mut().zip(quad) {
+                tally[usize::from(v >> 2)] += 1;
+            }
         }
-        Histogram { bins }
+        let mut counts = tallies[0];
+        for tally in &tallies[1..] {
+            for (c, t) in counts.iter_mut().zip(tally) {
+                *c += t;
+            }
+        }
+        counts
     }
 
     /// 2× box-filter downsample (dimensions halved, rounding down).
@@ -283,20 +297,83 @@ impl GrayFrame {
     /// Sobel gradient magnitude, thresholded to a binary edge map
     /// (`true` = edge). Used by the edge-change-ratio dissimilarity.
     pub fn edge_map(&self, threshold: u16) -> Vec<bool> {
-        let w = self.width as i64;
-        let h = self.height as i64;
-        let mut out = vec![false; (self.width * self.height) as usize];
-        for y in 0..h {
-            for x in 0..w {
-                let p = |dx: i64, dy: i64| self.get_clamped(x + dx, y + dy) as i32;
-                let gx = -p(-1, -1) - 2 * p(-1, 0) - p(-1, 1) + p(1, -1) + 2 * p(1, 0) + p(1, 1);
-                let gy = -p(-1, -1) - 2 * p(0, -1) - p(1, -1) + p(-1, 1) + 2 * p(0, 1) + p(1, 1);
-                let mag = (gx.unsigned_abs() + gy.unsigned_abs()) as u16;
-                out[(y * w + x) as usize] = mag > threshold;
+        let edges = self.edge_bits(threshold);
+        (0..self.data.len())
+            .map(|i| (edges.words[i / 64] >> (i % 64)) & 1 == 1)
+            .collect()
+    }
+
+    /// [`edge_map`](Self::edge_map), packed into an [`EdgeBits`].
+    ///
+    /// The 3×3 Sobel kernel is separable: per column, a vertical
+    /// `[1 2 1]` smoothing feeds `gx` and a vertical `[-1 0 1]`
+    /// difference feeds `gy`, both computed on row slices. Reads past
+    /// the frame clamp to the nearest pixel, as
+    /// [`get_clamped`](Self::get_clamped) does: border rows reuse
+    /// their own row, and only the two border columns clamp per pixel.
+    /// Flags land one byte per pixel and are packed 64 at a time.
+    pub(crate) fn edge_bits(&self, threshold: u16) -> EdgeBits {
+        let (w, h) = (self.width as usize, self.height as usize);
+        let mut flags = vec![0u8; self.data.len().div_ceil(64) * 64];
+        if w > 0 && h > 0 {
+            let row = |y: usize| &self.data[y * w..(y + 1) * w];
+            // |gx| + |gy| ≤ 2·1020, so i16 lanes hold every term exactly.
+            let mut smooth = vec![0i16; w];
+            let mut diff = vec![0i16; w];
+            for (y, edge) in flags.chunks_exact_mut(w).take(h).enumerate() {
+                let (up, mid, down) = (row(y.saturating_sub(1)), row(y), row((y + 1).min(h - 1)));
+                for ((s, d), ((&a, &b), &c)) in smooth
+                    .iter_mut()
+                    .zip(diff.iter_mut())
+                    .zip(up.iter().zip(mid).zip(down))
+                {
+                    let (a, b, c) = (i16::from(a), i16::from(b), i16::from(c));
+                    *s = a + 2 * b + c;
+                    *d = c - a;
+                }
+                let magnitude = |l: usize, x: usize, r: usize| {
+                    let gx = smooth[r] - smooth[l];
+                    let gy = diff[l] + 2 * diff[x] + diff[r];
+                    u8::from(gx.unsigned_abs() + gy.unsigned_abs() > threshold)
+                };
+                edge[0] = magnitude(0, 0, 1.min(w - 1));
+                edge[w - 1] = magnitude(w.saturating_sub(2), w - 1, w - 1);
+                if w > 2 {
+                    for (e, ((s, t), (l, (m, r)))) in edge[1..w - 1].iter_mut().zip(
+                        smooth
+                            .iter()
+                            .zip(&smooth[2..])
+                            .zip(diff.iter().zip(diff[1..].iter().zip(&diff[2..]))),
+                    ) {
+                        let gx = t - s;
+                        let gy = l + 2 * m + r;
+                        *e = u8::from(gx.unsigned_abs() + gy.unsigned_abs() > threshold);
+                    }
+                }
             }
         }
-        out
+        let words: Vec<u64> = flags
+            .chunks_exact(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |word, (k, &e)| word | (u64::from(e) << k))
+            })
+            .collect();
+        let count = words.iter().map(|w| w.count_ones() as usize).sum();
+        EdgeBits { words, count }
     }
+}
+
+/// A binary edge map packed 64 pixels to a word: pixel `i` (row-major)
+/// is bit `i % 64` of word `i / 64`, and the padding bits of the last
+/// word are zero.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct EdgeBits {
+    pub(crate) words: Vec<u64>,
+    /// Edge pixels in the map.
+    pub(crate) count: usize,
 }
 
 /// An 8-bit RGB frame (interleaved `r,g,b` row-major).
@@ -394,6 +471,14 @@ impl Histogram {
         let mut bins = [0.0; HISTOGRAM_BINS];
         bins[0] = 1.0;
         Histogram { bins }
+    }
+
+    /// Normalizes per-bin pixel counts of a `pixels`-pixel frame.
+    pub(crate) fn from_counts(counts: &[u32; HISTOGRAM_BINS], pixels: usize) -> Self {
+        let total = pixels.max(1) as f64;
+        Histogram {
+            bins: counts.map(|c| f64::from(c) / total),
+        }
     }
 
     /// Sum of all bins (≈1 for a normalized histogram).

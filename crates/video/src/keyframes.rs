@@ -5,12 +5,8 @@
 //! has drifted far enough (histogram χ²) from the last key frame —
 //! a static shot yields a single key frame, a busy one several.
 
-// The frame index is part of the output, not just a cursor.
-#![allow(clippy::needless_range_loop)]
-
 use crate::diff::histogram_chi_square;
-use crate::frame::GrayFrame;
-use crate::shots::Shot;
+use crate::frame::Histogram;
 use crate::stream::FrameIndex;
 use serde::{Deserialize, Serialize};
 
@@ -33,43 +29,85 @@ impl Default for KeyframeConfig {
     }
 }
 
-/// Selects key-frame indices for one `shot` of `frames`.
+/// Streaming key-frame picker for the shot being parsed.
 ///
-/// The first frame of a non-empty shot is always a key frame. Returned
-/// indices are global frame indices in ascending order.
-///
-/// # Panics
-/// Panics when the shot range exceeds `frames.len()`.
-pub fn extract_keyframes(
-    frames: &[GrayFrame],
-    shot: &Shot,
-    config: &KeyframeConfig,
-) -> Vec<FrameIndex> {
-    assert!(shot.end <= frames.len(), "shot {shot:?} out of range");
-    if shot.is_empty() || config.max_per_shot == 0 {
-        return Vec::new();
-    }
-    let mut keys = vec![shot.start];
-    let mut last_hist = frames[shot.start].histogram();
-    for idx in shot.start + 1..shot.end {
-        if keys.len() >= config.max_per_shot {
-            break;
-        }
-        let h = frames[idx].histogram();
-        if histogram_chi_square(&last_hist, &h) > config.drift_threshold {
-            keys.push(idx);
-            last_hist = h;
+/// The first frame of a shot is always a key frame (unless
+/// `max_per_shot` is 0); each later frame becomes one when its χ²
+/// histogram drift from the latest key frame exceeds
+/// `drift_threshold`, until the shot has `max_per_shot`.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyframePicker {
+    config: KeyframeConfig,
+    keys: Vec<FrameIndex>,
+    /// Histogram of the latest key frame; `None` before the shot's
+    /// first frame.
+    reference: Option<Histogram>,
+}
+
+impl KeyframePicker {
+    pub(crate) fn new(config: KeyframeConfig) -> Self {
+        KeyframePicker {
+            config,
+            keys: Vec::new(),
+            reference: None,
         }
     }
-    keys
+
+    /// Takes the shot's next frame, with its histogram.
+    pub(crate) fn push(&mut self, index: FrameIndex, histogram: &Histogram) {
+        match &self.reference {
+            None => {
+                if self.config.max_per_shot > 0 {
+                    self.keys.push(index);
+                }
+                self.reference = Some(histogram.clone());
+            }
+            Some(reference) => {
+                if self.keys.len() < self.config.max_per_shot
+                    && histogram_chi_square(reference, histogram) > self.config.drift_threshold
+                {
+                    self.keys.push(index);
+                    self.reference = Some(histogram.clone());
+                }
+            }
+        }
+    }
+
+    /// Ends the shot: returns its key frames, ascending, and starts
+    /// the next shot empty.
+    pub(crate) fn close(&mut self) -> Vec<FrameIndex> {
+        self.reference = None;
+        std::mem::take(&mut self.keys)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn retained_keys(&self) -> usize {
+        self.keys.len()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::GrayFrame;
+    use crate::shots::Shot;
+    use crate::VideoParser;
 
     fn flat(v: u8) -> GrayFrame {
         GrayFrame::new(16, 16, v)
+    }
+
+    /// Streams `shot`'s frames through the parser's key-frame picker.
+    fn extract_keyframes(
+        frames: &[GrayFrame],
+        shot: &Shot,
+        config: &KeyframeConfig,
+    ) -> Vec<FrameIndex> {
+        let mut picker = KeyframePicker::new(*config);
+        for (index, frame) in frames.iter().enumerate().take(shot.end).skip(shot.start) {
+            picker.push(index, &frame.histogram());
+        }
+        picker.close()
     }
 
     #[test]
@@ -119,11 +157,14 @@ mod tests {
         assert_eq!(keys[0], 10);
     }
 
+    /// Streaming takes no shot range to overrun: what a caller can get
+    /// wrong is a frame that does not fit the stream, and the parser
+    /// refuses it loudly instead of picking key frames from it.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "frames must share dimensions")]
     fn out_of_range_shot_panics() {
-        let frames = vec![flat(0)];
-        let shot = Shot { start: 0, end: 5 };
-        let _ = extract_keyframes(&frames, &shot, &KeyframeConfig::default());
+        let mut parser = VideoParser::default();
+        parser.push(&flat(0));
+        parser.push(&GrayFrame::new(8, 16, 0));
     }
 }

@@ -17,8 +17,10 @@
 //!   thresholding and gradual transitions via twin comparison);
 //! * [`keyframes`] — key-frame extraction within each shot;
 //! * [`scenes`] — grouping shots into scenes by visual coherence;
-//! * [`parse`] — the end-to-end [`parse::VideoParser`] producing the
-//!   Fig. 3 [`parse::VideoStructure`].
+//! * [`parse`] — the streaming [`parse::VideoParser`]: it takes frames
+//!   one at a time, settles shots and key frames as they arrive, and
+//!   links scenes when the video ends, producing the Fig. 3
+//!   [`parse::VideoStructure`].
 //!
 //! The crate is camera-agnostic: the synthetic renderer in
 //! `dievent-scene` produces the same [`frame::GrayFrame`]s a capture
@@ -41,8 +43,8 @@ pub use diff::{
 };
 pub use frame::{GrayFrame, Histogram, RgbFrame, Timestamp, HISTOGRAM_BINS};
 pub use io::{load_pgm, read_pgm, save_pgm, save_ppm, write_pgm, write_ppm};
-pub use keyframes::{extract_keyframes, KeyframeConfig};
+pub use keyframes::KeyframeConfig;
 pub use parse::{VideoParser, VideoParserConfig, VideoStructure};
-pub use scenes::{segment_scenes, Scene, SceneConfig};
-pub use shots::{detect_shots, Shot, ShotBoundary, ShotDetectorConfig, TransitionKind};
+pub use scenes::{Scene, SceneConfig};
+pub use shots::{Shot, ShotBoundary, ShotDetectorConfig, TransitionKind};
 pub use stream::{FrameIndex, InMemoryVideo, VideoSpec, VideoStream};

@@ -1,16 +1,21 @@
 //! End-to-end video parsing — the Fig. 3 hierarchy.
 //!
 //! Combines shot boundary detection, key-frame extraction and scene
-//! segmentation into a single [`VideoParser`] producing a
+//! segmentation into a single streaming [`VideoParser`] producing a
 //! [`VideoStructure`]: `video → scenes → shots → key frames`.
 
-use crate::frame::GrayFrame;
-use crate::keyframes::{extract_keyframes, KeyframeConfig};
-use crate::scenes::{segment_scenes, Scene, SceneConfig};
-use crate::shots::{detect_shots, Shot, ShotBoundary, ShotDetectorConfig};
+use crate::diff::{feature_distance, FrameFeatures};
+use crate::frame::{GrayFrame, Histogram, HISTOGRAM_BINS};
+use crate::keyframes::{KeyframeConfig, KeyframePicker};
+use crate::scenes::{link_scenes, MiddleFrame, Scene, SceneConfig};
+use crate::shots::{Shot, ShotBoundary, ShotDetector, ShotDetectorConfig};
 use crate::stream::{FrameIndex, VideoSpec, VideoStream};
 use dievent_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
+
+/// Histogram of each [`VideoParser::push`]'s wall time, in seconds.
+const PUSH_SECONDS: &str = "video.push_seconds";
 
 /// Configuration for the full parsing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -96,11 +101,46 @@ impl VideoStructure {
     }
 }
 
-/// Parses videos into the Fig. 3 hierarchy.
-#[derive(Debug, Clone, Default)]
+/// Parses a video into the Fig. 3 hierarchy, one frame at a time.
+///
+/// [`push`](Self::push) computes each frame's histogram and edge map
+/// once and compares them with the previous frame's. Shot boundaries
+/// and key frames are settled as frames arrive, because every decision
+/// looks back only; [`finish`](Self::finish) closes the last shot and
+/// links the shots into scenes. Between frames the parser keeps the
+/// previous frame and its features, at most `window` trailing
+/// distances, the open gradual run, and the current shot's key frames
+/// and histogram counts from its running middle onward. It allocates
+/// nothing before its first frame.
+///
+/// [`parse_frames`](Self::parse_frames) and
+/// [`parse_stream`](Self::parse_stream) run a fresh parser with the
+/// same configuration and telemetry over a whole video.
+#[derive(Debug, Clone)]
 pub struct VideoParser {
     config: VideoParserConfig,
     telemetry: Telemetry,
+    /// `video.push_seconds`: wall time of each [`push`](Self::push).
+    push_seconds: dievent_telemetry::Histogram,
+    frames: usize,
+    /// The newest frame and its features.
+    previous: Option<(GrayFrame, FrameFeatures)>,
+    detector: ShotDetector,
+    /// Start of the shot being parsed.
+    shot_start: FrameIndex,
+    keyframes: KeyframePicker,
+    middle: MiddleFrame,
+    /// Closed shots, their boundaries, key frames and signatures.
+    shots: Vec<Shot>,
+    boundaries: Vec<ShotBoundary>,
+    shot_keyframes: Vec<Vec<FrameIndex>>,
+    signatures: Vec<Histogram>,
+}
+
+impl Default for VideoParser {
+    fn default() -> Self {
+        VideoParser::new(VideoParserConfig::default())
+    }
 }
 
 impl VideoParser {
@@ -109,51 +149,154 @@ impl VideoParser {
         VideoParser {
             config,
             telemetry: Telemetry::disabled(),
+            push_seconds: Telemetry::disabled().histogram(PUSH_SECONDS),
+            frames: 0,
+            previous: None,
+            detector: ShotDetector::new(config.shots),
+            shot_start: 0,
+            keyframes: KeyframePicker::new(config.keyframes),
+            middle: MiddleFrame::default(),
+            shots: Vec::new(),
+            boundaries: Vec::new(),
+            shot_keyframes: Vec::new(),
+            signatures: Vec::new(),
         }
     }
 
-    /// Attaches the parser to a telemetry domain: parse calls record a
-    /// `video.parse` span plus `shots_detected` / `keyframes_extracted`
-    /// / `scenes_segmented` counters.
+    /// Attaches the parser to a telemetry domain: each
+    /// [`push`](Self::push) records its time in the
+    /// `video.push_seconds` histogram, and [`finish`](Self::finish)
+    /// records a `video.finish` span plus `shots_detected` /
+    /// `keyframes_extracted` / `scenes_segmented` counters.
+    /// [`parse_frames`](Self::parse_frames) and
+    /// [`parse_stream`](Self::parse_stream) add a `video.parse` span
+    /// around the whole parse.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.push_seconds = telemetry.histogram(PUSH_SECONDS);
         self.telemetry = telemetry;
         self
     }
 
-    /// Parses frames that are already in memory.
-    pub fn parse_frames(&self, spec: VideoSpec, frames: &[GrayFrame]) -> VideoStructure {
-        let mut span = self.telemetry.span("video.parse");
-        span.set("frames", frames.len());
-        let (shots, boundaries) = detect_shots(frames, &self.config.shots);
-        let keyframes: Vec<Vec<FrameIndex>> = shots
-            .iter()
-            .map(|s| extract_keyframes(frames, s, &self.config.keyframes))
-            .collect();
-        let scenes = segment_scenes(frames, &shots, &self.config.scenes);
+    /// A parser with this one's configuration and telemetry and no
+    /// frames.
+    fn fresh(&self) -> VideoParser {
+        VideoParser {
+            telemetry: self.telemetry.clone(),
+            push_seconds: self.push_seconds.clone(),
+            ..VideoParser::new(self.config)
+        }
+    }
+
+    /// Frames pushed so far.
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// Width and height of the frames pushed so far (`None` before the
+    /// first).
+    pub fn frame_size(&self) -> Option<(u32, u32)> {
+        self.previous
+            .as_ref()
+            .map(|(frame, _)| (frame.width(), frame.height()))
+    }
+
+    /// Takes the video's next frame.
+    ///
+    /// # Panics
+    /// Panics when the frame's size differs from the frames before it.
+    pub fn push(&mut self, frame: &GrayFrame) {
+        let started = Instant::now();
+        let index = self.frames;
+        let counts = frame.histogram_counts();
+        let features = FrameFeatures::new(frame, &counts);
+        if let Some((previous, previous_features)) = &self.previous {
+            let dist = feature_distance(previous, previous_features, frame, &features);
+            let closed = self.boundaries.len();
+            self.detector.push(dist, &mut self.boundaries);
+            // Every new boundary lands on this frame: close the shot
+            // before it. A second one closes an empty shot, whose
+            // middle frame is this one.
+            for _ in closed..self.boundaries.len() {
+                let middle = self.middle.close();
+                self.close_shot(
+                    index,
+                    middle.as_ref().unwrap_or(&counts),
+                    frame.data().len(),
+                );
+            }
+        }
+        self.keyframes.push(index, &features.histogram);
+        self.middle.push(counts);
+        self.previous = Some((frame.clone(), features));
+        self.frames += 1;
+        self.push_seconds.observe_duration(started.elapsed());
+    }
+
+    /// Closes the shot being parsed at `end`, with its middle frame's
+    /// histogram counts.
+    fn close_shot(&mut self, end: FrameIndex, middle: &[u32; HISTOGRAM_BINS], pixels: usize) {
+        self.shots.push(Shot {
+            start: self.shot_start,
+            end,
+        });
+        self.shot_keyframes.push(self.keyframes.close());
+        self.signatures.push(Histogram::from_counts(middle, pixels));
+        self.shot_start = end;
+    }
+
+    /// Ends the video: closes the last shot, links the shots into
+    /// scenes and returns the hierarchy, labelled with `spec`.
+    pub fn finish(mut self, spec: VideoSpec) -> VideoStructure {
+        let mut span = self.telemetry.span("video.finish");
+        span.set("frames", self.frames);
+        if let Some((last, _)) = self.previous.take() {
+            // The last shot holds at least the last frame.
+            if let Some(middle) = self.middle.close() {
+                self.close_shot(self.frames, &middle, last.data().len());
+            }
+        }
+        let scenes = link_scenes(&self.signatures, &self.config.scenes);
         self.telemetry
             .counter("shots_detected")
-            .add(shots.len() as u64);
+            .add(self.shots.len() as u64);
         self.telemetry
             .counter("keyframes_extracted")
-            .add(keyframes.iter().map(Vec::len).sum::<usize>() as u64);
+            .add(self.shot_keyframes.iter().map(Vec::len).sum::<usize>() as u64);
         self.telemetry
             .counter("scenes_segmented")
             .add(scenes.len() as u64);
         VideoStructure {
             spec,
-            frame_count: frames.len(),
+            frame_count: self.frames,
             scenes,
-            shots,
-            boundaries,
-            keyframes,
+            shots: self.shots,
+            boundaries: self.boundaries,
+            keyframes: self.shot_keyframes,
         }
     }
 
-    /// Drains a [`VideoStream`] and parses it.
+    /// Parses frames that are already in memory, as a video of their
+    /// own: frames pushed to this parser do not take part.
+    pub fn parse_frames(&self, spec: VideoSpec, frames: &[GrayFrame]) -> VideoStructure {
+        let mut span = self.telemetry.span("video.parse");
+        span.set("frames", frames.len());
+        let mut parser = self.fresh();
+        for frame in frames {
+            parser.push(frame);
+        }
+        parser.finish(spec)
+    }
+
+    /// Parses a [`VideoStream`] frame by frame, as a video of its own,
+    /// without collecting it.
     pub fn parse_stream<S: VideoStream>(&self, stream: &mut S) -> VideoStructure {
-        let spec = stream.spec();
-        let frames = stream.collect_frames();
-        self.parse_frames(spec, &frames)
+        let mut span = self.telemetry.span("video.parse");
+        let mut parser = self.fresh();
+        while let Some(frame) = stream.next_frame() {
+            parser.push(&frame);
+        }
+        span.set("frames", parser.frames);
+        parser.finish(stream.spec())
     }
 }
 
@@ -265,6 +408,46 @@ mod tests {
             Some(s.scenes.len() as u64)
         );
         assert_eq!(report.span("video.parse").unwrap().count, 1);
+        assert_eq!(report.span("video.finish").unwrap().count, 1);
+        assert_eq!(
+            report.histogram("video.push_seconds").unwrap().count,
+            frames.len() as u64
+        );
+    }
+
+    /// Over a long multi-shot stream the parser keeps, between frames,
+    /// one previous frame, at most `window` distances, at most
+    /// `max_per_shot` key frames, and the open shot's histogram counts
+    /// from its running middle onward — never the frames themselves.
+    #[test]
+    fn retained_state_stays_bounded_on_a_long_stream() {
+        let config = VideoParserConfig::default();
+        let mut parser = VideoParser::new(config);
+        let mut most_counts = 0;
+        for take in 0..60u32 {
+            let len = 15 + (take as usize * 7) % 50;
+            for j in 0..len {
+                parser.push(&textured(take % 9 + 1, j as u32));
+                assert!(parser.detector.retained_distances() <= config.shots.window);
+                assert!(parser.keyframes.retained_keys() <= config.keyframes.max_per_shot);
+                let open = parser.frames() - parser.shot_start;
+                assert_eq!(parser.middle.retained_counts(), open - open / 2);
+                most_counts = most_counts.max(parser.middle.retained_counts());
+            }
+        }
+        assert!(most_counts <= 32, "half the longest take, not the stream");
+        let frames = parser.frames();
+        let s = parser.finish(VideoSpec {
+            width: 32,
+            height: 32,
+            fps: 25.0,
+        });
+        assert_eq!(s.frame_count, frames);
+        assert!(
+            s.shots.len() > 50,
+            "a multi-shot stream: {} shots",
+            s.shots.len()
+        );
     }
 
     #[test]

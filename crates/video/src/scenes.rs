@@ -8,9 +8,10 @@
 //! placed only where no link crosses.
 
 use crate::diff::histogram_chi_square;
-use crate::frame::{GrayFrame, Histogram};
+use crate::frame::{Histogram, HISTOGRAM_BINS};
 use crate::shots::Shot;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// A scene: a contiguous range of shot indices.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,15 +57,45 @@ impl Default for SceneConfig {
     }
 }
 
-/// Representative histogram of a shot: its middle frame's histogram.
-fn shot_signature(frames: &[GrayFrame], shot: &Shot) -> Histogram {
-    frames
-        .get(shot.middle())
-        .map(|f| f.histogram())
-        .unwrap_or_else(Histogram::zeroed)
+/// Tracks the growing shot's signature: the histogram of its middle
+/// frame, `start + len / 2`.
+///
+/// The middle only moves forward as the shot grows, so it keeps the
+/// pixel counts of the frames from the running middle onward (256 B
+/// each); the front is always the middle.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MiddleFrame {
+    len: usize,
+    counts: VecDeque<[u32; HISTOGRAM_BINS]>,
 }
 
-/// Groups consecutive `shots` into scenes with overlapping links.
+impl MiddleFrame {
+    /// Takes the shot's next frame's histogram counts.
+    pub(crate) fn push(&mut self, counts: [u32; HISTOGRAM_BINS]) {
+        self.len += 1;
+        self.counts.push_back(counts);
+        while self.counts.len() > self.len - self.len / 2 {
+            self.counts.pop_front();
+        }
+    }
+
+    /// Ends the shot: returns the middle frame's counts (`None` for an
+    /// empty shot) and starts the next shot empty.
+    pub(crate) fn close(&mut self) -> Option<[u32; HISTOGRAM_BINS]> {
+        let middle = self.counts.pop_front();
+        self.counts.clear();
+        self.len = 0;
+        middle
+    }
+
+    #[cfg(test)]
+    pub(crate) fn retained_counts(&self) -> usize {
+        self.counts.len()
+    }
+}
+
+/// Groups consecutive shots, given by their signatures, into scenes
+/// with overlapping links.
 ///
 /// Shot `j` *links to* shot `k` (`j < k ≤ j + lookback`) when their
 /// signatures are within [`SceneConfig::coherence_threshold`]. A scene
@@ -74,15 +105,14 @@ fn shot_signature(frames: &[GrayFrame], shot: &Shot) -> Histogram {
 ///
 /// Every shot belongs to exactly one scene; scenes are contiguous and
 /// ordered. Empty input produces no scenes.
-pub fn segment_scenes(frames: &[GrayFrame], shots: &[Shot], config: &SceneConfig) -> Vec<Scene> {
-    if shots.is_empty() {
+pub(crate) fn link_scenes(signatures: &[Histogram], config: &SceneConfig) -> Vec<Scene> {
+    if signatures.is_empty() {
         return Vec::new();
     }
-    let signatures: Vec<Histogram> = shots.iter().map(|s| shot_signature(frames, s)).collect();
 
     // covered[m] == true ⇒ some link spans the boundary between m and m+1.
-    let n = shots.len();
-    let mut covered = vec![false; n.saturating_sub(1)];
+    let n = signatures.len();
+    let mut covered = vec![false; n - 1];
     for j in 0..n {
         let hi = (j + config.lookback).min(n - 1);
         for k in j + 1..=hi {
@@ -115,6 +145,30 @@ pub fn segment_scenes(frames: &[GrayFrame], shots: &[Shot], config: &SceneConfig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::GrayFrame;
+
+    /// Streams each shot's frames through the parser's signature
+    /// tracker, then links the shots into scenes.
+    fn segment_scenes(frames: &[GrayFrame], shots: &[Shot], config: &SceneConfig) -> Vec<Scene> {
+        let signatures: Vec<Histogram> = shots
+            .iter()
+            .map(|shot| {
+                let mut middle = MiddleFrame::default();
+                for frame in &frames[shot.start..shot.end] {
+                    middle.push(frame.histogram_counts());
+                }
+                let counts = middle.close().expect("test shots hold frames");
+                let signature = Histogram::from_counts(&counts, frames[0].data().len());
+                assert_eq!(
+                    signature,
+                    frames[shot.middle()].histogram(),
+                    "the tracker keeps the middle frame"
+                );
+                signature
+            })
+            .collect();
+        link_scenes(&signatures, config)
+    }
 
     /// A frame whose luminance spreads ±30 around `v`, so takes with
     /// nearby `v` have overlapping histograms and distant ones do not.

@@ -9,10 +9,10 @@
 //! * **gradual transitions** (fades/dissolves) — a run of moderate
 //!   distances whose *accumulated* change exceeds the cut threshold.
 
-use crate::diff::frame_distance;
-use crate::frame::{GrayFrame, Timestamp};
+use crate::frame::Timestamp;
 use crate::stream::FrameIndex;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// How a shot boundary was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -106,99 +106,100 @@ impl Default for ShotDetectorConfig {
     }
 }
 
-/// Detects shot boundaries and returns `(shots, boundaries)` covering
-/// `frames` completely and in order.
+/// Streaming shot-boundary detector over the distances between
+/// consecutive frames.
 ///
-/// An empty input yields no shots; a single frame yields one one-frame
-/// shot.
-pub fn detect_shots(
-    frames: &[GrayFrame],
-    config: &ShotDetectorConfig,
-) -> (Vec<Shot>, Vec<ShotBoundary>) {
-    if frames.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
-    if frames.len() == 1 {
-        return (vec![Shot { start: 0, end: 1 }], Vec::new());
-    }
+/// Every decision looks back only. A cut compares `d[i]` (between
+/// frames `i` and `i + 1`) with the statistics of the `window`
+/// distances before it; a gradual run accumulates distances above
+/// `gradual_low` and is judged at the first distance that falls back
+/// below it. Both kinds of boundary therefore land on the frame whose
+/// distance completes them, the newest one, so the frames before it
+/// are final when it is reported.
+#[derive(Debug, Clone)]
+pub(crate) struct ShotDetector {
+    config: ShotDetectorConfig,
+    /// The last `window` distances, oldest first.
+    recent: VecDeque<f64>,
+    /// The open gradual run: index of its first distance and the sum
+    /// of its distances.
+    gradual: Option<(usize, f64)>,
+    last_boundary: FrameIndex,
+    /// Distances taken so far.
+    seen: usize,
+}
 
-    // Distances between consecutive frames: d[i] = dist(frame[i], frame[i+1]).
-    let d: Vec<f64> = frames
-        .windows(2)
-        .map(|w| frame_distance(&w[0], &w[1]))
-        .collect();
-
-    let mut boundaries = Vec::new();
-    let mut last_boundary: FrameIndex = 0;
-
-    let mut i = 0;
-    while i < d.len() {
-        let dist = d[i];
-        let boundary_frame = i + 1;
-        let local = local_stats(&d, i, config.window);
-        let cut_threshold =
-            (local.mean + config.sigma_factor * local.std).max(config.min_cut_distance);
-
-        if dist > cut_threshold {
-            if boundary_frame - last_boundary >= config.min_shot_len {
-                boundaries.push(ShotBoundary {
-                    frame: boundary_frame,
-                    score: dist,
-                    kind: TransitionKind::Cut,
-                });
-                last_boundary = boundary_frame;
-            }
-            i += 1;
-            continue;
+impl ShotDetector {
+    pub(crate) fn new(config: ShotDetectorConfig) -> Self {
+        ShotDetector {
+            config,
+            recent: VecDeque::new(),
+            gradual: None,
+            last_boundary: 0,
+            seen: 0,
         }
+    }
 
-        // Twin comparison: moderate distance starts a gradual candidate.
-        if dist > config.gradual_low {
-            let start = i;
-            let mut accum = 0.0;
-            let mut j = i;
-            while j < d.len() && d[j] > config.gradual_low {
-                accum += d[j];
-                j += 1;
+    /// Takes the distance from the newest frame to its predecessor and
+    /// appends the boundaries it completes to `out`. Each lands on the
+    /// newest frame; there are two only when a gradual run and a cut
+    /// both end there with `min_shot_len` 0.
+    pub(crate) fn push(&mut self, dist: f64, out: &mut Vec<ShotBoundary>) {
+        let i = self.seen;
+        self.seen += 1;
+        if let Some((start, accum)) = self.gradual.take() {
+            if dist > self.config.gradual_low {
+                self.gradual = Some((start, accum + dist));
+                self.remember(dist);
+                return;
             }
-            let end_frame = j; // first frame after the transition run is j (0-based distance j spans frames j..j+1)
-            if accum > config.gradual_accum
-                && end_frame.saturating_sub(start) >= 2
-                && end_frame + 1 > last_boundary
-                && (end_frame + 1) - last_boundary >= config.min_shot_len
+            // The run ends before `d[i]`: its transition completes at
+            // frame `i + 1`. `d[i]` itself is examined below.
+            let frame = i + 1;
+            if accum > self.config.gradual_accum
+                && i - start >= 2
+                && frame > self.last_boundary
+                && frame - self.last_boundary >= self.config.min_shot_len
             {
-                boundaries.push(ShotBoundary {
-                    frame: end_frame + 1,
+                out.push(ShotBoundary {
+                    frame,
                     score: accum,
                     kind: TransitionKind::Gradual,
                 });
-                last_boundary = end_frame + 1;
+                self.last_boundary = frame;
             }
-            i = j.max(i + 1);
-            continue;
         }
-
-        i += 1;
+        let local = local_stats(self.recent.make_contiguous());
+        let cut_threshold =
+            (local.mean + self.config.sigma_factor * local.std).max(self.config.min_cut_distance);
+        if dist > cut_threshold {
+            let frame = i + 1;
+            if frame - self.last_boundary >= self.config.min_shot_len {
+                out.push(ShotBoundary {
+                    frame,
+                    score: dist,
+                    kind: TransitionKind::Cut,
+                });
+                self.last_boundary = frame;
+            }
+        } else if dist > self.config.gradual_low {
+            // Twin comparison: a moderate distance opens a gradual run.
+            self.gradual = Some((i, dist));
+        }
+        self.remember(dist);
     }
 
-    // Drop any boundary that would create an empty trailing shot.
-    boundaries.retain(|b| b.frame < frames.len());
-
-    let mut shots = Vec::with_capacity(boundaries.len() + 1);
-    let mut start = 0;
-    for b in &boundaries {
-        shots.push(Shot {
-            start,
-            end: b.frame,
-        });
-        start = b.frame;
+    fn remember(&mut self, dist: f64) {
+        self.recent.push_back(dist);
+        if self.recent.len() > self.config.window {
+            self.recent.pop_front();
+        }
     }
-    shots.push(Shot {
-        start,
-        end: frames.len(),
-    });
 
-    (shots, boundaries)
+    #[cfg(test)]
+    pub(crate) fn retained_distances(&self) -> usize {
+        self.recent.len()
+    }
 }
 
 struct LocalStats {
@@ -206,11 +207,9 @@ struct LocalStats {
     std: f64,
 }
 
-/// Mean/std of distances in a window *before* position `i` (causal), so a
-/// cut spike does not inflate its own threshold.
-fn local_stats(d: &[f64], i: usize, window: usize) -> LocalStats {
-    let lo = i.saturating_sub(window);
-    let slice = &d[lo..i];
+/// Mean/std of the distances in a window *before* the examined one
+/// (causal), so a cut spike does not inflate its own threshold.
+fn local_stats(slice: &[f64]) -> LocalStats {
     if slice.is_empty() {
         return LocalStats {
             mean: 0.0,
@@ -228,6 +227,26 @@ fn local_stats(d: &[f64], i: usize, window: usize) -> LocalStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::GrayFrame;
+    use crate::{VideoParser, VideoParserConfig, VideoSpec};
+
+    /// Shots and boundaries as the streaming parser detects them.
+    fn detect_shots(
+        frames: &[GrayFrame],
+        config: &ShotDetectorConfig,
+    ) -> (Vec<Shot>, Vec<ShotBoundary>) {
+        let parser = VideoParser::new(VideoParserConfig {
+            shots: *config,
+            ..VideoParserConfig::default()
+        });
+        let spec = VideoSpec {
+            width: 32,
+            height: 32,
+            fps: 25.0,
+        };
+        let parsed = parser.parse_frames(spec, frames);
+        (parsed.shots, parsed.boundaries)
+    }
 
     /// A frame with deterministic texture derived from `content`, plus a
     /// little per-frame jitter to mimic sensor noise. Different `content`
@@ -350,6 +369,36 @@ mod tests {
                 "short shot {s:?}"
             );
         }
+    }
+
+    /// With `min_shot_len` 0, a gradual run and a cut can complete on
+    /// the same frame: the run is judged at the distance that ends it,
+    /// which is then examined as a cut candidate too.
+    #[test]
+    fn gradual_run_and_cut_can_end_on_one_frame() {
+        let mut detector = ShotDetector::new(ShotDetectorConfig {
+            min_cut_distance: 0.01,
+            sigma_factor: 0.0,
+            window: 3,
+            gradual_low: 0.3,
+            gradual_accum: 0.5,
+            min_shot_len: 0,
+        });
+        let mut out = Vec::new();
+        for d in [0.9, 0.0, 0.4, 0.4, 0.28] {
+            detector.push(d, &mut out);
+        }
+        let found: Vec<(FrameIndex, TransitionKind)> =
+            out.iter().map(|b| (b.frame, b.kind)).collect();
+        assert_eq!(
+            found,
+            [
+                (1, TransitionKind::Cut),
+                (5, TransitionKind::Gradual),
+                (5, TransitionKind::Cut)
+            ]
+        );
+        assert!(detector.retained_distances() <= 3);
     }
 
     #[test]

@@ -65,15 +65,6 @@ pub trait VideoStream {
 
     /// Produces the next frame, or `None` at end of stream.
     fn next_frame(&mut self) -> Option<GrayFrame>;
-
-    /// Collects every remaining frame into memory.
-    fn collect_frames(&mut self) -> Vec<GrayFrame> {
-        let mut out = Vec::with_capacity(self.len_hint().unwrap_or(0));
-        while let Some(f) = self.next_frame() {
-            out.push(f);
-        }
-        out
-    }
 }
 
 /// A video held entirely in memory — the working representation for the
@@ -191,7 +182,7 @@ mod tests {
         assert!(v.next_frame().is_some());
         assert!(v.next_frame().is_none());
         v.rewind();
-        assert_eq!(v.collect_frames().len(), 3);
+        assert_eq!(std::iter::from_fn(|| v.next_frame()).count(), 3);
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Property-based tests for the video substrate.
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 use dievent_video::{
-    detect_shots, frame_distance, histogram_chi_square, histogram_intersection, GrayFrame,
-    ShotDetectorConfig,
+    edge_change_ratio, frame_distance, histogram_chi_square, histogram_intersection, pixel_mad,
+    GrayFrame, KeyframeConfig, SceneConfig, ShotDetectorConfig, VideoParser, VideoParserConfig,
+    VideoSpec,
 };
 use proptest::prelude::*;
 
@@ -22,6 +26,207 @@ fn frame_strategy() -> impl Strategy<Value = GrayFrame> {
             }
             f
         })
+}
+
+/// Frames of any size from 1×1, so the Sobel borders and one-pixel
+/// rows and columns are covered.
+fn any_size_frame() -> impl Strategy<Value = GrayFrame> {
+    (
+        1u32..24,
+        1u32..24,
+        0u8..=255,
+        proptest::collection::vec((0i64..24, 0i64..24, 1u32..12, 1u32..12, 0u8..=255), 0..5),
+    )
+        .prop_map(|(w, h, bg, rects)| {
+            let mut f = GrayFrame::new(w, h, bg);
+            for (x, y, rw, rh, v) in rects {
+                f.fill_rect(x, y, rw, rh, v);
+            }
+            f
+        })
+}
+
+/// A textured frame: `content` shifts the luminance band (so takes
+/// differ in pixels and histogram) and `jitter` adds sensor noise.
+fn textured(w: u32, h: u32, content: u32, jitter: u32) -> GrayFrame {
+    let mut f = GrayFrame::new(w, h, 0);
+    f.mutate(|d| {
+        let offset = (content * 37) % 180;
+        for (i, px) in d.iter_mut().enumerate() {
+            let base = offset + (i as u32 * 29) % 40;
+            *px = (base + (i as u32 * 13 + jitter * 7) % 9).min(255) as u8;
+        }
+    });
+    f.fill_rect(
+        (content % 5) as i64 * 2,
+        (content % 3) as i64 * 3,
+        4,
+        3,
+        250,
+    );
+    f
+}
+
+/// A random edit: `(kind, content, len)` segments rendered at one size.
+/// Kind 0 is a take of `len` frames, 1 a dissolve from the last frame
+/// to `content` over `len` frames, 2 a one-frame flash.
+fn video_strategy() -> impl Strategy<Value = Vec<GrayFrame>> {
+    (
+        6u32..20,
+        6u32..20,
+        proptest::collection::vec((0u8..3, 0u32..12, 1usize..25), 1..9),
+    )
+        .prop_map(|(w, h, segments)| {
+            let mut frames: Vec<GrayFrame> = Vec::new();
+            for (n, (kind, content, len)) in segments.into_iter().enumerate() {
+                match kind {
+                    0 => frames
+                        .extend((0..len).map(|j| textured(w, h, content, (n * 31 + j) as u32))),
+                    1 => {
+                        let from = frames
+                            .last()
+                            .cloned()
+                            .unwrap_or_else(|| GrayFrame::new(w, h, 0));
+                        let to = textured(w, h, content, 0);
+                        for k in 1..=len {
+                            let t = k as f64 / (len + 1) as f64;
+                            let mut mix = GrayFrame::new(w, h, 0);
+                            mix.mutate(|d| {
+                                for (i, px) in d.iter_mut().enumerate() {
+                                    let v =
+                                        from.data()[i] as f64 * (1.0 - t) + to.data()[i] as f64 * t;
+                                    *px = v as u8;
+                                }
+                            });
+                            frames.push(mix);
+                        }
+                    }
+                    _ => frames.push(GrayFrame::new(w, h, (content * 23 % 256) as u8)),
+                }
+            }
+            frames
+        })
+}
+
+/// Parser configurations: the defaults, or every field drawn at random,
+/// degenerate values (`window: 0`, `max_per_shot: 0`, `lookback: 0`,
+/// `min_shot_len: 0`, `min_cut_distance < gradual_low`) included.
+fn config_strategy() -> impl Strategy<Value = VideoParserConfig> {
+    let random = (
+        (0.0..0.4f64, 0.0..6.0f64, 0usize..30),
+        (0.0..0.2f64, 0.0..1.0f64, 0usize..8),
+        (0.0..0.3f64, 0usize..6),
+        (0.0..1.0f64, 0usize..5),
+    )
+        .prop_map(
+            |(
+                (min_cut_distance, sigma_factor, window),
+                (gradual_low, gradual_accum, min_shot_len),
+                (drift_threshold, max_per_shot),
+                (coherence_threshold, lookback),
+            )| {
+                VideoParserConfig {
+                    shots: ShotDetectorConfig {
+                        min_cut_distance,
+                        sigma_factor,
+                        window,
+                        gradual_low,
+                        gradual_accum,
+                        min_shot_len,
+                    },
+                    keyframes: KeyframeConfig {
+                        drift_threshold,
+                        max_per_shot,
+                    },
+                    scenes: SceneConfig {
+                        coherence_threshold,
+                        lookback,
+                    },
+                }
+            },
+        );
+    prop_oneof![1 => Just(VideoParserConfig::default()), 3 => random]
+}
+
+fn spec_of(frames: &[GrayFrame]) -> VideoSpec {
+    VideoSpec {
+        width: frames.first().map_or(0, GrayFrame::width),
+        height: frames.first().map_or(0, GrayFrame::height),
+        fps: 25.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn streaming_parser_matches_the_batch_oracle(
+        frames in video_strategy(),
+        config in config_strategy(),
+    ) {
+        let spec = spec_of(&frames);
+        let streamed = VideoParser::new(config).parse_frames(spec, &frames);
+        let batch = oracle::parse(&config, spec, &frames);
+        prop_assert_eq!(streamed, batch, "config {:?}", config);
+    }
+}
+
+/// The kernels' fast paths give today's bits.
+fn bits(h: &dievent_video::Histogram) -> Vec<u64> {
+    h.bins.iter().map(|b| b.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn counting_histogram_matches_float_histogram(f in any_size_frame()) {
+        prop_assert_eq!(bits(&f.histogram()), bits(&oracle::histogram(&f)));
+    }
+
+    #[test]
+    fn row_slice_sobel_matches_clamped_sobel(f in any_size_frame(), threshold in 0u16..700) {
+        prop_assert_eq!(f.edge_map(threshold), oracle::edge_map(&f, threshold));
+    }
+
+    #[test]
+    fn packed_kernels_match_pixelwise_kernels(
+        a in any_size_frame(),
+        b in any_size_frame(),
+        threshold in 0u16..700,
+    ) {
+        let b = b.resize(a.width(), a.height());
+        prop_assert_eq!(
+            edge_change_ratio(&a, &b, threshold).to_bits(),
+            oracle::edge_change_ratio(&a, &b, threshold).to_bits()
+        );
+        prop_assert_eq!(pixel_mad(&a, &b).to_bits(), oracle::pixel_mad(&a, &b).to_bits());
+        prop_assert_eq!(
+            frame_distance(&a, &b).to_bits(),
+            oracle::frame_distance(&a, &b).to_bits()
+        );
+    }
+}
+
+/// `pixel_mad` sums in 65,536-pixel blocks: a 320×240 pair spans two.
+#[test]
+fn pixel_mad_sums_exactly_across_blocks() {
+    let noise = |seed: u32| {
+        let mut f = GrayFrame::new(320, 240, 0);
+        f.mutate(|d| {
+            for (i, px) in d.iter_mut().enumerate() {
+                *px = ((i as u32).wrapping_mul(2_654_435_761).wrapping_add(seed) >> 24) as u8;
+            }
+        });
+        f
+    };
+    let (a, b) = (noise(1), noise(0x7f00_0000));
+    assert_eq!(
+        pixel_mad(&a, &b).to_bits(),
+        oracle::pixel_mad(&a, &b).to_bits()
+    );
+    let (black, white) = (GrayFrame::new(320, 240, 0), GrayFrame::new(320, 240, 255));
+    assert_eq!(pixel_mad(&black, &white), 1.0);
 }
 
 proptest! {
@@ -99,10 +304,11 @@ proptest! {
     fn shots_always_partition_the_video(
         frames in proptest::collection::vec(frame_strategy(), 0..30),
     ) {
-        // Frames may differ in size here — shot detection requires a
-        // uniform stream, so normalize first.
+        // Frames may differ in size here — a stream must share one
+        // size, so normalize first.
         let normalized: Vec<GrayFrame> = frames.iter().map(|f| f.resize(16, 16)).collect();
-        let (shots, boundaries) = detect_shots(&normalized, &ShotDetectorConfig::default());
+        let parsed = VideoParser::default().parse_frames(spec_of(&normalized), &normalized);
+        let (shots, boundaries) = (parsed.shots, parsed.boundaries);
         if normalized.is_empty() {
             prop_assert!(shots.is_empty());
         } else {

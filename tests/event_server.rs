@@ -3,9 +3,12 @@
 //! exact conservation ledger, drain-while-ingesting, the connection
 //! cap, and the live `GET /tenants` snapshot.
 
-use dievent_core::{BackpressureMode, EventId, PipelineConfig, Recording, TrainingSetConfig};
+use dievent_core::{
+    BackpressureMode, CameraId, EventId, PipelineConfig, Recording, TrainingSetConfig,
+};
 use dievent_scene::Scenario;
 use dievent_server::{EventClient, EventServer, RejectCode, RejectOp, ServerConfig, ServerMsg};
+use dievent_video::GrayFrame;
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -117,6 +120,39 @@ fn admission_refusals_are_typed_on_the_wire() {
         .expect("finish");
     assert_eq!(done.event, EventId::new(1));
     assert_eq!(done.pushed, 0);
+}
+
+/// A frame whose size is not the event's is the client's error: it is
+/// refused as `Malformed`, not `Internal`, the connection stays up, and
+/// the same camera's next frame reuses the refused sequence number.
+#[test]
+fn mis_sized_frame_is_refused_as_malformed() {
+    let server = EventServer::bind(
+        "127.0.0.1:0".parse().expect("loopback"),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let recording = Recording::capture(Scenario::two_camera_dinner(2, 1));
+    let event = EventId::new(5);
+    let mut client = EventClient::connect(server.local_addr()).expect("connect");
+    client
+        .open_event(event, &recording.scenario, quick_config())
+        .expect("io")
+        .expect("open admitted");
+    client
+        .send_frame(event, CameraId::new(0), 0, GrayFrame::new(320, 240, 90))
+        .expect("send");
+    client
+        .send_frame(event, CameraId::new(0), 0, recording.frame(0, 0))
+        .expect("send");
+    let done = client.finish_event(event).expect("io").expect("finish");
+    assert_eq!((done.pushed, done.processed, done.dropped), (1, 1, 0));
+    let rejections = client.poll_rejections().expect("rejections");
+    assert_eq!(rejections.len(), 1, "{rejections:?}");
+    assert_eq!(rejections[0].event, Some(event));
+    assert_eq!(rejections[0].op, RejectOp::Ingest);
+    assert_eq!(rejections[0].code, RejectCode::Malformed);
+    assert!(rejections[0].message.contains("320x240"));
 }
 
 /// Two tenants under `DropOldest`: the flooded tenant sheds load and

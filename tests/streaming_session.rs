@@ -4,9 +4,56 @@
 //! (blocking loses nothing; drop-oldest sheds load and accounts for
 //! every shed frame in telemetry).
 
-use dievent_core::{BackpressureMode, DiEventPipeline, FinishOptions, PipelineConfig, Recording};
+use dievent_core::{
+    BackpressureMode, CameraId, DiEventError, DiEventPipeline, FinishOptions, PipelineConfig,
+    Recording,
+};
 use dievent_scene::Scenario;
+use dievent_video::GrayFrame;
 use std::time::{Duration, Instant};
+
+/// A frame whose size is not the session's is refused at ingest with a
+/// typed error, before it takes a frame index, and the session then
+/// finishes with every other input analysed. The refused frame never
+/// reaches the lane, the monitor stream or the parser, which used to
+/// panic in `finish` on it.
+#[test]
+fn mis_sized_frame_is_refused_at_ingest() {
+    const FRAMES: usize = 12;
+    let recording = Recording::capture(Scenario::two_camera_dinner(FRAMES, 11));
+    let pipeline = DiEventPipeline::new(PipelineConfig::default());
+    let mut session = pipeline.session(&recording.scenario).expect("session");
+    for f in 0..FRAMES {
+        for c in 0..2 {
+            if (c, f) == (0, 6) {
+                let refused = session.push_frame(0, GrayFrame::new(320, 240, 90));
+                assert_eq!(
+                    refused,
+                    Err(DiEventError::FrameSize {
+                        camera: CameraId::new(0),
+                        expected: (640, 480),
+                        got: (320, 240),
+                    })
+                );
+            } else {
+                session.push_frame(c, recording.frame(c, f)).expect("push");
+            }
+        }
+    }
+    let analysis = session.finish().expect("finish");
+    let report = &analysis.telemetry;
+    // Conservation: the 23 accepted inputs were all processed, none
+    // dropped, and camera 0 took 11 indices, not 12.
+    assert_eq!(
+        report.counter_total("frames_processed"),
+        2 * FRAMES as u64 - 1
+    );
+    assert_eq!(report.counter_total("session.frames_dropped"), 0);
+    assert_eq!(analysis.matrices.len(), FRAMES);
+    let structure = analysis.structure.expect("parsing is on by default");
+    assert_eq!(structure.frame_count, FRAMES - 1);
+    assert_eq!((structure.spec.width, structure.spec.height), (160, 120));
+}
 
 /// Streaming run of the paper's §III prototype — four cameras pushed
 /// from four independent producer threads — must match the batch
