@@ -13,9 +13,10 @@ use dievent_core::{
 use dievent_emotion::{lbp_feature_vector_with, Emotion, ExtractArena, LbpConfig, LbpScratch};
 use dievent_metadata::{MetaRecord, MetadataRepository, Query, RecordKind};
 use dievent_scene::{render_face_patch, Scenario};
-use dievent_video::{frame_distance, VideoParser};
+use dievent_video::{frame_distance, GrayFrame, VideoParser};
 use dievent_vision::{
-    detect_faces, estimate_pose, locate_landmarks, DetectorConfig, LandmarkConfig, PoseConfig,
+    detect_faces, estimate_pose, locate_landmarks, DetectorConfig, ExtractorConfig, FaceDetection,
+    FaceGallery, LandmarkConfig, PersonId, PoseConfig,
 };
 use std::hint::black_box;
 
@@ -57,6 +58,34 @@ fn rendering_and_vision(c: &mut Criterion) {
             })
         });
     }
+
+    // One face cropped as the extractor crops it (a (2⌈r⌉+1)-pixel
+    // square around the centroid, resized to the patch size) and
+    // matched against a gallery enrolled from frame 0.
+    let side = ExtractorConfig::standard().patch_size;
+    let crop = |frame: &GrayFrame, det: &FaceDetection| {
+        let r = det.radius.ceil() as i64;
+        let square = (2 * r + 1) as u32;
+        frame
+            .patch(det.cx as i64 - r, det.cy as i64 - r, square, square)
+            .resize(side, side)
+    };
+    let first = recording.frame(0, 0);
+    let mut gallery = FaceGallery::default();
+    for (i, d) in detect_faces(&first, &DetectorConfig::default())
+        .iter()
+        .enumerate()
+    {
+        gallery.enroll(PersonId(i), d, &crop(&first, d));
+    }
+    c.bench_function("crop_recognize_one_face", |b| {
+        b.iter(|| gallery.recognize(black_box(&det), &crop(black_box(&frame), &det)))
+    });
+
+    // Camera 0's monitor frame: two 2× downsamples, 640×480 → 160×120.
+    c.bench_function("monitor_downsample_640x480", |b| {
+        b.iter(|| black_box(&frame).downsample2().downsample2())
+    });
 
     let prev = recording.frame(0, 99);
     c.bench_function("frame_distance_640x480", |b| {

@@ -8,10 +8,12 @@
 //!
 //! `len` counts the body only (the tag byte is not included) and is
 //! capped at [`MAX_BODY`] — a malformed or hostile length prefix fails
-//! fast instead of allocating. Control messages carry JSON bodies;
-//! the hot [`ClientMsg::Frame`] path carries a fixed binary header
-//! plus raw pixel bytes, with the timestamp shipped as `f64` bits so
-//! the server-side frame is bit-identical to the client's.
+//! fast instead of allocating. The tag is checked before the body is
+//! read, and a body's buffer grows as its bytes arrive. Control
+//! messages carry JSON bodies; the hot [`ClientMsg::Frame`] path
+//! carries a fixed binary header plus raw pixel bytes, with the
+//! timestamp shipped as `f64` bits so the server-side frame is
+//! bit-identical to the client's.
 //!
 //! Decoding maps 1:1 onto the typed session API: a [`ClientMsg`]
 //! ingest message converts to exactly one [`SessionInput`] via
@@ -26,8 +28,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Maximum body length the decoder will allocate (32 MiB — enough for
-/// a 4096×4096 8-bit frame with headroom).
+/// Maximum body length the decoder accepts (32 MiB — enough for a
+/// 4096×4096 8-bit frame with headroom).
 pub const MAX_BODY: usize = 32 * 1024 * 1024;
 
 /// Maximum frame width/height accepted on the wire.
@@ -411,47 +413,53 @@ impl ClientMsg {
     /// Reads one client message. `Ok(None)` on clean end-of-stream
     /// (the peer closed between frames); `should_stop` lets a server
     /// with a read timeout abandon an idle wait.
+    ///
+    /// An unknown tag, or a `Frame` whose dimensions disagree with its
+    /// length prefix, is refused before the body is read; after any
+    /// `Malformed` the stream is out of step and must be closed.
     pub fn read_from(
         r: &mut impl Read,
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Option<ClientMsg>, ProtoError> {
-        let Some((tag, body)) = read_frame(r, should_stop)? else {
+        let Some((tag, len)) = read_header(r, should_stop)? else {
             return Ok(None);
         };
-        Ok(Some(ClientMsg::decode(tag, body)?))
-    }
-
-    fn decode(tag: u8, body: Vec<u8>) -> Result<ClientMsg, ProtoError> {
-        match tag {
+        let msg = match tag {
             TAG_OPEN => {
-                let open: OpenBody = decode_json(&body)?;
-                Ok(ClientMsg::OpenEvent {
+                let open: OpenBody = read_json(r, len, should_stop)?;
+                ClientMsg::OpenEvent {
                     event: open.event,
                     scenario: open.scenario,
                     config: open.config,
-                })
+                }
             }
-            TAG_FRAME => decode_frame_body(&body),
+            TAG_FRAME => read_frame_body(r, len, should_stop)?,
             TAG_POSE => {
-                let pose: PoseBody = decode_json(&body)?;
-                Ok(ClientMsg::PoseObs {
+                let pose: PoseBody = read_json(r, len, should_stop)?;
+                ClientMsg::PoseObs {
                     event: pose.event,
                     camera: pose.camera,
                     seq: pose.seq,
                     observations: pose.observations,
-                })
+                }
             }
             TAG_FINISH => {
-                let finish: FinishBody = decode_json(&body)?;
-                Ok(ClientMsg::FinishEvent {
+                let finish: FinishBody = read_json(r, len, should_stop)?;
+                ClientMsg::FinishEvent {
                     event: finish.event,
-                })
+                }
             }
-            TAG_DRAIN => Ok(ClientMsg::Drain),
-            other => Err(ProtoError::Malformed(format!(
-                "unknown client message tag {other:#04x}"
-            ))),
-        }
+            TAG_DRAIN => {
+                read_body(r, len, should_stop)?;
+                ClientMsg::Drain
+            }
+            other => {
+                return Err(ProtoError::Malformed(format!(
+                    "unknown client message tag {other:#04x}"
+                )))
+            }
+        };
+        Ok(Some(msg))
     }
 }
 
@@ -503,59 +511,59 @@ impl ServerMsg {
     }
 
     /// Reads one server message; `Ok(None)` on clean end-of-stream.
+    /// An unknown tag is refused before its body is read.
     pub fn read_from(
         r: &mut impl Read,
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Option<ServerMsg>, ProtoError> {
-        let Some((tag, body)) = read_frame(r, should_stop)? else {
+        let Some((tag, len)) = read_header(r, should_stop)? else {
             return Ok(None);
         };
-        Ok(Some(ServerMsg::decode(tag, body)?))
-    }
-
-    fn decode(tag: u8, body: Vec<u8>) -> Result<ServerMsg, ProtoError> {
-        match tag {
+        let msg = match tag {
             TAG_OPENED => {
-                let opened: OpenedBody = decode_json(&body)?;
-                Ok(ServerMsg::Opened {
+                let opened: OpenedBody = read_json(r, len, should_stop)?;
+                ServerMsg::Opened {
                     event: opened.event,
-                })
+                }
             }
             TAG_REJECTED => {
-                let rejected: RejectedBody = decode_json(&body)?;
+                let rejected: RejectedBody = read_json(r, len, should_stop)?;
                 let code = RejectCode::parse(&rejected.code).ok_or_else(|| {
                     ProtoError::Malformed(format!("unknown reject code {:?}", rejected.code))
                 })?;
                 let op = RejectOp::parse(&rejected.op).ok_or_else(|| {
                     ProtoError::Malformed(format!("unknown reject op {:?}", rejected.op))
                 })?;
-                Ok(ServerMsg::Rejected {
+                ServerMsg::Rejected {
                     event: rejected.event,
                     op,
                     code,
                     message: rejected.message,
-                })
+                }
             }
             TAG_FINISHED => {
-                let fin: FinishedBody = decode_json(&body)?;
-                Ok(ServerMsg::Finished {
+                let fin: FinishedBody = read_json(r, len, should_stop)?;
+                ServerMsg::Finished {
                     event: fin.event,
                     digest: fin.digest,
                     pushed: fin.pushed,
                     processed: fin.processed,
                     dropped: fin.dropped,
-                })
+                }
             }
             TAG_DRAINED => {
-                let drained: DrainedBody = decode_json(&body)?;
-                Ok(ServerMsg::Drained {
+                let drained: DrainedBody = read_json(r, len, should_stop)?;
+                ServerMsg::Drained {
                     finished: drained.finished,
-                })
+                }
             }
-            other => Err(ProtoError::Malformed(format!(
-                "unknown server message tag {other:#04x}"
-            ))),
-        }
+            other => {
+                return Err(ProtoError::Malformed(format!(
+                    "unknown server message tag {other:#04x}"
+                )))
+            }
+        };
+        Ok(Some(msg))
     }
 }
 
@@ -567,41 +575,55 @@ fn encode_json<T: Serialize>(value: &T) -> Vec<u8> {
     serde_json::to_vec(value).unwrap_or_default()
 }
 
-fn decode_json<T: Deserialize>(body: &[u8]) -> Result<T, ProtoError> {
-    serde_json::from_slice(body).map_err(|e| ProtoError::Malformed(format!("bad JSON body: {e}")))
+/// Reads a `len`-byte JSON body and decodes it.
+fn read_json<T: Deserialize>(
+    r: &mut impl Read,
+    len: usize,
+    should_stop: &dyn Fn() -> bool,
+) -> Result<T, ProtoError> {
+    let body = read_body(r, len, should_stop)?;
+    serde_json::from_slice(&body).map_err(|e| ProtoError::Malformed(format!("bad JSON body: {e}")))
 }
 
-/// Decodes the binary `Frame` body, validating dimensions *before*
-/// constructing the frame — `GrayFrame::from_data` treats a pixel
-/// count mismatch as a programmer error, so the wire layer must never
-/// let one through.
-fn decode_frame_body(body: &[u8]) -> Result<ClientMsg, ProtoError> {
-    if body.len() < FRAME_HEADER {
+/// Reads a `len`-byte `Frame` body. The fixed header comes first; the
+/// dimensions are checked against the length prefix *before* any pixel
+/// is read (`GrayFrame::from_data` treats a pixel count mismatch as a
+/// programmer error, so the wire layer must never let one through).
+/// The pixels are then read straight into the frame's buffer.
+fn read_frame_body(
+    r: &mut impl Read,
+    len: usize,
+    should_stop: &dyn Fn() -> bool,
+) -> Result<ClientMsg, ProtoError> {
+    if len < FRAME_HEADER {
         return Err(ProtoError::Malformed(format!(
-            "frame body is {} bytes, header alone needs {FRAME_HEADER}",
-            body.len()
+            "frame body is {len} bytes, header alone needs {FRAME_HEADER}"
         )));
     }
-    let event = EventId::new(u64::from_be_bytes(sub8(body, 0)));
-    let camera = CameraId::new(u32::from_be_bytes(sub4(body, 8)) as usize);
-    let seq = u64::from_be_bytes(sub8(body, 12));
-    let ts = f64::from_bits(u64::from_be_bytes(sub8(body, 20)));
-    let width = u32::from_be_bytes(sub4(body, 28));
-    let height = u32::from_be_bytes(sub4(body, 32));
+    let mut head = [0u8; FRAME_HEADER];
+    if let ReadOutcome::Eof = read_full(r, &mut head, should_stop, false)? {
+        return Err(mid_message_eof());
+    }
+    let event = EventId::new(u64::from_be_bytes(sub8(&head, 0)));
+    let camera = CameraId::new(u32::from_be_bytes(sub4(&head, 8)) as usize);
+    let seq = u64::from_be_bytes(sub8(&head, 12));
+    let ts = f64::from_bits(u64::from_be_bytes(sub8(&head, 20)));
+    let width = u32::from_be_bytes(sub4(&head, 28));
+    let height = u32::from_be_bytes(sub4(&head, 32));
     if width > MAX_DIM || height > MAX_DIM {
         return Err(ProtoError::Malformed(format!(
             "frame dimensions {width}x{height} exceed the {MAX_DIM} cap"
         )));
     }
     let expected = (width as usize) * (height as usize);
-    let pixels = &body[FRAME_HEADER..];
-    if pixels.len() != expected {
+    if len - FRAME_HEADER != expected {
         return Err(ProtoError::Malformed(format!(
-            "frame claims {width}x{height} = {expected} pixels but carries {}",
-            pixels.len()
+            "frame claims {width}x{height} = {expected} pixels but its length prefix leaves {}",
+            len - FRAME_HEADER
         )));
     }
-    let frame = GrayFrame::from_data(width, height, pixels.to_vec()).with_timestamp(Timestamp(ts));
+    let pixels = read_body(r, expected, should_stop)?;
+    let frame = GrayFrame::from_data(width, height, pixels).with_timestamp(Timestamp(ts));
     Ok(ClientMsg::Frame {
         event,
         camera,
@@ -610,8 +632,8 @@ fn decode_frame_body(body: &[u8]) -> Result<ClientMsg, ProtoError> {
     })
 }
 
-/// `body[at..at + 8]` as an array. Callers bounds-check via
-/// `FRAME_HEADER` before slicing.
+/// `body[at..at + 8]` as an array. Callers pass the `FRAME_HEADER`-byte
+/// header.
 fn sub8(body: &[u8], at: usize) -> [u8; 8] {
     let mut out = [0u8; 8];
     out.copy_from_slice(&body[at..at + 8]);
@@ -638,33 +660,56 @@ fn write_frame(w: &mut impl Write, tag: u8, body: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one `[len][tag][body]` frame. `Ok(None)` when the stream
-/// ends cleanly *between* frames (or `should_stop` fires while
-/// waiting there); EOF mid-frame is an error.
-fn read_frame(
+/// Reads one `[len][tag]` header and checks the length against
+/// [`MAX_BODY`]. `Ok(None)` when the stream ends cleanly *between*
+/// frames (or `should_stop` fires while waiting there); EOF mid-frame
+/// is an error.
+fn read_header(
     r: &mut impl Read,
     should_stop: &dyn Fn() -> bool,
-) -> Result<Option<(u8, Vec<u8>)>, ProtoError> {
+) -> Result<Option<(u8, usize)>, ProtoError> {
     let mut head = [0u8; 5];
     match read_full(r, &mut head, should_stop, true)? {
         ReadOutcome::Eof => return Ok(None),
         ReadOutcome::Full => {}
     }
     let len = u32::from_be_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    let tag = head[4];
     if len > MAX_BODY {
         return Err(ProtoError::Malformed(format!(
             "length prefix {len} exceeds the {MAX_BODY} cap"
         )));
     }
-    let mut body = vec![0u8; len];
-    match read_full(r, &mut body, should_stop, false)? {
-        ReadOutcome::Eof => Err(ProtoError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "stream ended mid-message",
-        ))),
-        ReadOutcome::Full => Ok(Some((tag, body))),
+    Ok(Some((head[4], len)))
+}
+
+/// The most a body buffer grows ahead of the bytes received. A 640×480
+/// frame arrives in one step; a stalled peer holds at most this much.
+const READ_STEP: usize = 1 << 20;
+
+/// Reads a `len`-byte body into a buffer that grows as bytes arrive,
+/// [`READ_STEP`] at a time, rather than one sized from the length
+/// prefix up front.
+fn read_body(
+    r: &mut impl Read,
+    len: usize,
+    should_stop: &dyn Fn() -> bool,
+) -> Result<Vec<u8>, ProtoError> {
+    let mut body = Vec::new();
+    while body.len() < len {
+        let filled = body.len();
+        body.resize(filled + (len - filled).min(READ_STEP), 0);
+        if let ReadOutcome::Eof = read_full(r, &mut body[filled..], should_stop, false)? {
+            return Err(mid_message_eof());
+        }
     }
+    Ok(body)
+}
+
+fn mid_message_eof() -> ProtoError {
+    ProtoError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "stream ended mid-message",
+    ))
 }
 
 enum ReadOutcome {
@@ -690,10 +735,7 @@ fn read_full(
                 if filled == 0 && eof_ok {
                     return Ok(ReadOutcome::Eof);
                 }
-                return Err(ProtoError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended mid-message",
-                )));
+                return Err(mid_message_eof());
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -789,6 +831,190 @@ mod tests {
                 .unwrap();
             assert_eq!(decoded, msg);
         }
+    }
+
+    /// A reader that fails the test if anything reads from it.
+    struct Tripwire;
+
+    impl Read for Tripwire {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            panic!("the decoder read a body it should have refused");
+        }
+    }
+
+    /// A reader that hands out at most 7 bytes per call.
+    struct Dribble<'a>(&'a [u8]);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(7);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// A `Frame` body's fixed header claiming `width × height`.
+    fn frame_header(width: u32, height: u32) -> Vec<u8> {
+        let mut head = Vec::new();
+        head.extend_from_slice(&1u64.to_be_bytes());
+        head.extend_from_slice(&0u32.to_be_bytes());
+        head.extend_from_slice(&0u64.to_be_bytes());
+        head.extend_from_slice(&0u64.to_be_bytes());
+        head.extend_from_slice(&width.to_be_bytes());
+        head.extend_from_slice(&height.to_be_bytes());
+        head
+    }
+
+    #[test]
+    fn unknown_tag_is_refused_before_its_body_is_read() {
+        for tag in [0u8, 0x7f, TAG_OPENED] {
+            let mut head = (MAX_BODY as u32).to_be_bytes().to_vec();
+            head.push(tag);
+            let mut wire = head.as_slice().chain(Tripwire);
+            assert!(matches!(
+                ClientMsg::read_from(&mut wire, NEVER),
+                Err(ProtoError::Malformed(_))
+            ));
+        }
+        let mut head = (MAX_BODY as u32).to_be_bytes().to_vec();
+        head.push(TAG_FRAME);
+        let mut wire = head.as_slice().chain(Tripwire);
+        assert!(matches!(
+            ServerMsg::read_from(&mut wire, NEVER),
+            Err(ProtoError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn frame_disagreeing_with_its_length_is_refused_before_its_pixels() {
+        // (claimed width, claimed height, pixels the length prefix leaves)
+        for (width, height, pixels) in [
+            (4, 4, 15),
+            (4, 4, 17),
+            (640, 480, 1000),
+            (1, 1, MAX_BODY - FRAME_HEADER),
+            (MAX_DIM + 1, 1, MAX_DIM as usize + 1),
+            (0, 5, 5),
+        ] {
+            let mut wire = ((FRAME_HEADER + pixels) as u32).to_be_bytes().to_vec();
+            wire.push(TAG_FRAME);
+            wire.extend_from_slice(&frame_header(width, height));
+            let mut wire = wire.as_slice().chain(Tripwire);
+            let got = ClientMsg::read_from(&mut wire, NEVER);
+            assert!(
+                matches!(got, Err(ProtoError::Malformed(_))),
+                "{width}x{height} with {pixels} pixels: {got:?}"
+            );
+        }
+        // Shorter than the fixed header: refused before reading it.
+        let mut wire = ((FRAME_HEADER - 1) as u32).to_be_bytes().to_vec();
+        wire.push(TAG_FRAME);
+        let mut wire = wire.as_slice().chain(Tripwire);
+        assert!(matches!(
+            ClientMsg::read_from(&mut wire, NEVER),
+            Err(ProtoError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn every_message_kind_round_trips() {
+        let wide = GrayFrame::from_data(2048, 1024, (0..2048 * 1024).map(|i| i as u8).collect())
+            .with_timestamp(Timestamp(1.0 / 3.0));
+        let clients = [
+            ClientMsg::OpenEvent {
+                event: EventId::new(3),
+                scenario: Scenario::two_camera_dinner(5, 1),
+                config: PipelineConfig::default(),
+            },
+            ClientMsg::Frame {
+                event: EventId::new(3),
+                camera: CameraId::new(1),
+                seq: 9,
+                frame: GrayFrame::from_data(3, 2, vec![1, 2, 3, 4, 5, 6]),
+            },
+            // Larger than one read step: the buffer grows as bytes arrive.
+            ClientMsg::Frame {
+                event: EventId::new(3),
+                camera: CameraId::new(0),
+                seq: 10,
+                frame: wide,
+            },
+            ClientMsg::Frame {
+                event: EventId::new(3),
+                camera: CameraId::new(0),
+                seq: 11,
+                frame: GrayFrame::from_data(0, 0, vec![]),
+            },
+            ClientMsg::PoseObs {
+                event: EventId::new(3),
+                camera: CameraId::new(0),
+                seq: 0,
+                observations: vec![],
+            },
+            ClientMsg::FinishEvent {
+                event: EventId::new(3),
+            },
+            ClientMsg::Drain,
+        ];
+        let servers = [
+            ServerMsg::Opened {
+                event: EventId::new(9),
+            },
+            ServerMsg::Rejected {
+                event: Some(EventId::new(9)),
+                op: RejectOp::Open,
+                code: RejectCode::QuotaExhausted,
+                message: "5 of 5 sessions open".into(),
+            },
+            ServerMsg::Finished {
+                event: EventId::new(9),
+                digest: AnalysisDigest {
+                    participants: 2,
+                    fps: 25.0,
+                    frames: 40,
+                    summary: vec![vec![0, 3], vec![2, 0]],
+                    received_looks: vec![2, 3],
+                    dominant: Some(1),
+                    attention_share: vec![0.4, 0.6],
+                    mean_overall_happiness: 0.1 + 0.2,
+                    eye_contact_episodes: 1,
+                    highlights: 2,
+                    precision: 0.9,
+                    recall: 0.8,
+                    f1: 0.85,
+                    timings: Default::default(),
+                },
+                pushed: 80,
+                processed: 79,
+                dropped: 1,
+            },
+            ServerMsg::Drained { finished: 4 },
+        ];
+        let mut wire = Vec::new();
+        for msg in &clients {
+            msg.write_to(&mut wire).unwrap();
+        }
+        let mut reader = Dribble(&wire);
+        for msg in &clients {
+            assert_eq!(
+                ClientMsg::read_from(&mut reader, NEVER).unwrap().as_ref(),
+                Some(msg)
+            );
+        }
+        assert!(ClientMsg::read_from(&mut reader, NEVER).unwrap().is_none());
+        let mut wire = Vec::new();
+        for msg in &servers {
+            msg.write_to(&mut wire).unwrap();
+        }
+        let mut reader = Dribble(&wire);
+        for msg in &servers {
+            assert_eq!(
+                ServerMsg::read_from(&mut reader, NEVER).unwrap().as_ref(),
+                Some(msg)
+            );
+        }
+        assert!(ServerMsg::read_from(&mut reader, NEVER).unwrap().is_none());
     }
 
     #[test]

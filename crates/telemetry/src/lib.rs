@@ -68,8 +68,8 @@ use std::time::Instant;
 pub(crate) struct Inner {
     epoch: Instant,
     next_span_id: AtomicU64,
-    /// Completed spans, in completion order.
-    spans: Mutex<Vec<SpanRecord>>,
+    /// Completed spans, in completion order, and their summaries.
+    spans: Mutex<span::SpanLog>,
     events: Mutex<Vec<EventRecord>>,
     /// Per-thread stack of open span ids (for implicit nesting).
     stacks: Mutex<HashMap<ThreadId, Vec<u64>>>,
@@ -98,7 +98,7 @@ impl Inner {
 
     /// Copy of the completed spans (for the live profiler).
     pub(crate) fn completed_spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().clone()
+        self.spans.lock().records.clone()
     }
 
     fn current_span(&self) -> Option<u64> {
@@ -171,7 +171,7 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
                 next_span_id: AtomicU64::new(1),
-                spans: Mutex::new(Vec::new()),
+                spans: Mutex::new(span::SpanLog::default()),
                 events: Mutex::new(Vec::new()),
                 stacks: Mutex::new(HashMap::new()),
                 open: Mutex::new(HashMap::new()),
@@ -340,7 +340,7 @@ impl Telemetry {
             Some(inner) => {
                 // Take each lock in its own statement: `report()` locks
                 // `spans` again, and the guards are not reentrant.
-                let spans = inner.spans.lock().clone();
+                let spans = inner.spans.lock().records.clone();
                 let events = inner.events.lock().clone();
                 let report = self.report();
                 Snapshot {
@@ -357,7 +357,7 @@ impl Telemetry {
     pub fn report(&self) -> TelemetryReport {
         match &self.inner {
             None => TelemetryReport::default(),
-            Some(inner) => report::build(&inner.registry, &inner.spans.lock()),
+            Some(inner) => report::build(&inner.registry, &inner.spans.lock().summaries),
         }
     }
 

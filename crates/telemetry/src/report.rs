@@ -1,7 +1,6 @@
 //! The aggregated, serializable view of a telemetry domain.
 
 use crate::metrics::Registry;
-use crate::span::SpanRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -112,7 +111,9 @@ impl TelemetryReport {
     }
 }
 
-pub(crate) fn build(registry: &Registry, spans: &[SpanRecord]) -> TelemetryReport {
+/// The report over the registry's current values and the per-name span
+/// summaries, which the span log keeps up to date as spans complete.
+pub(crate) fn build(registry: &Registry, spans: &BTreeMap<String, SpanSummary>) -> TelemetryReport {
     let counters = registry
         .counter_values()
         .into_iter()
@@ -144,24 +145,11 @@ pub(crate) fn build(registry: &Registry, spans: &[SpanRecord]) -> TelemetryRepor
         })
         .collect();
 
-    let mut by_name: BTreeMap<&str, SpanSummary> = BTreeMap::new();
-    for s in spans {
-        let entry = by_name.entry(&s.name).or_insert_with(|| SpanSummary {
-            name: s.name.clone(),
-            count: 0,
-            total_s: 0.0,
-            max_s: 0.0,
-        });
-        entry.count += 1;
-        entry.total_s += s.duration_s;
-        entry.max_s = entry.max_s.max(s.duration_s);
-    }
-
     TelemetryReport {
         counters,
         gauges,
         histograms,
-        spans: by_name.into_values().collect(),
+        spans: spans.values().cloned().collect(),
     }
 }
 
@@ -181,6 +169,57 @@ mod tests {
         assert!(s.total_s >= s.max_s);
         assert_eq!(report.span("missing"), None);
         assert_eq!(report.span_total_s("missing"), 0.0);
+    }
+
+    #[test]
+    fn span_summaries_equal_a_fold_over_the_records() {
+        let t = Telemetry::enabled();
+        let workers: Vec<_> = (0..3)
+            .map(|k| {
+                let t = t.clone();
+                std::thread::spawn(move || {
+                    for i in 0..200 {
+                        let _outer = t.span(if (i + k) % 3 == 0 {
+                            "b.outer"
+                        } else {
+                            "a.outer"
+                        });
+                        let _inner = t.span("c.inner");
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let snapshot = t.snapshot();
+        let mut folded: std::collections::BTreeMap<&str, (u64, f64, f64)> = Default::default();
+        for s in &snapshot.spans {
+            let e = folded.entry(&s.name).or_insert((0, 0.0, 0.0));
+            e.0 += 1;
+            e.1 += s.duration_s;
+            e.2 = e.2.max(s.duration_s);
+        }
+        let summaries: Vec<_> = snapshot
+            .report
+            .spans
+            .iter()
+            .map(|s| {
+                (
+                    s.name.as_str(),
+                    s.count,
+                    s.total_s.to_bits(),
+                    s.max_s.to_bits(),
+                )
+            })
+            .collect();
+        let expected: Vec<_> = folded
+            .into_iter()
+            .map(|(name, (count, total, max))| (name, count, total.to_bits(), max.to_bits()))
+            .collect();
+        assert_eq!(summaries, expected);
+        assert_eq!(t.report().spans, snapshot.report.spans);
+        assert_eq!(summaries.iter().map(|s| s.1).sum::<u64>(), 1200);
     }
 
     #[test]

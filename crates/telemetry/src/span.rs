@@ -1,7 +1,9 @@
 //! Span and event records plus the RAII span guard.
 
+use crate::report::SpanSummary;
 use crate::Inner;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A field value attached to a span or event.
@@ -100,6 +102,38 @@ pub struct EventRecord {
     pub t_s: f64,
     /// Key-value fields set on the event.
     pub fields: Vec<(String, FieldValue)>,
+}
+
+/// Completed spans in completion order, with each name's summary kept
+/// up to date as spans complete, so a report reads the summaries
+/// instead of walking the records.
+#[derive(Default)]
+pub(crate) struct SpanLog {
+    pub(crate) records: Vec<SpanRecord>,
+    /// Per-name count, total and longest span, folded in completion
+    /// order: the totals are the same f64s a fold over `records` gives.
+    pub(crate) summaries: BTreeMap<String, SpanSummary>,
+}
+
+impl SpanLog {
+    fn push(&mut self, record: SpanRecord) {
+        let summary = match self.summaries.get_mut(&record.name) {
+            Some(summary) => summary,
+            None => self
+                .summaries
+                .entry(record.name.clone())
+                .or_insert_with(|| SpanSummary {
+                    name: record.name.clone(),
+                    count: 0,
+                    total_s: 0.0,
+                    max_s: 0.0,
+                }),
+        };
+        summary.count += 1;
+        summary.total_s += record.duration_s;
+        summary.max_s = summary.max_s.max(record.duration_s);
+        self.records.push(record);
+    }
 }
 
 /// RAII guard for an open span: records the span (with its wall-clock

@@ -236,21 +236,38 @@ impl GrayFrame {
         counts
     }
 
+    /// Row `y`, clamped to the frame (clamp-to-edge, as
+    /// [`get_clamped`](Self::get_clamped) reads).
+    fn clamped_row(&self, y: i64) -> &[u8] {
+        let w = self.width as usize;
+        let y = y.clamp(0, self.height as i64 - 1) as usize;
+        &self.data[y * w..(y + 1) * w]
+    }
+
     /// 2× box-filter downsample (dimensions halved, rounding down).
+    ///
+    /// Each output row averages one pair of source rows, two columns at
+    /// a time; a one-pixel-wide or one-pixel-high frame pairs its only
+    /// column or row with itself.
     pub fn downsample2(&self) -> GrayFrame {
         let w = (self.width / 2).max(1);
         let h = (self.height / 2).max(1);
         let mut out = vec![0u8; (w * h) as usize];
-        for y in 0..h {
-            for x in 0..w {
-                let sx = (x * 2).min(self.width - 1);
-                let sy = (y * 2).min(self.height - 1);
-                let a = self.get(sx, sy) as u16;
-                let b = self.get((sx + 1).min(self.width - 1), sy) as u16;
-                let c = self.get(sx, (sy + 1).min(self.height - 1)) as u16;
-                let d2 =
-                    self.get((sx + 1).min(self.width - 1), (sy + 1).min(self.height - 1)) as u16;
-                out[(y * w + x) as usize] = ((a + b + c + d2) / 4) as u8;
+        for (y, out_row) in out.chunks_exact_mut(w as usize).enumerate() {
+            let top = self.clamped_row(2 * y as i64);
+            let bottom = self.clamped_row(2 * y as i64 + 1);
+            if self.width == 1 {
+                out_row[0] = ((2 * u16::from(top[0]) + 2 * u16::from(bottom[0])) / 4) as u8;
+                continue;
+            }
+            // Each column pair read as one little-endian u16 (left pixel
+            // low): whole-word masks and shifts, which vectorize, where
+            // byte-pair indexing does not. The sum is at most 4 × 255.
+            let (top, _) = top.as_chunks::<2>();
+            let (bottom, _) = bottom.as_chunks::<2>();
+            for ((o, t), b) in out_row.iter_mut().zip(top).zip(bottom) {
+                let (t, b) = (u16::from_le_bytes(*t), u16::from_le_bytes(*b));
+                *o = (((t & 0xff) + (t >> 8) + (b & 0xff) + (b >> 8)) / 4) as u8;
             }
         }
         GrayFrame::from_data(w, h, out).with_timestamp(self.timestamp)
@@ -258,11 +275,26 @@ impl GrayFrame {
 
     /// Extracts a rectangular patch with clamp-to-edge semantics for
     /// out-of-bounds regions.
+    ///
+    /// Each output row is one clamped source row: the columns left of
+    /// the frame repeat its first pixel, the columns inside are copied,
+    /// and the columns right of it repeat its last pixel.
     pub fn patch(&self, x0: i64, y0: i64, w: u32, h: u32) -> GrayFrame {
         let mut out = vec![0u8; (w * h) as usize];
-        for y in 0..h {
-            for x in 0..w {
-                out[(y * w + x) as usize] = self.get_clamped(x0 + x as i64, y0 + y as i64);
+        if w > 0 {
+            let (fw, pw) = (self.width as i64, w as i64);
+            // Patch columns `[inside, outside)` lie within the frame.
+            let inside = x0.saturating_neg().clamp(0, pw);
+            let outside = fw.saturating_sub(x0).clamp(inside, pw);
+            let (inside, outside) = (inside as usize, outside as usize);
+            // The frame column under patch column `inside`; clamped only
+            // so that an empty middle still slices within the row.
+            let first = (x0 + inside as i64).clamp(0, fw - 1) as usize;
+            for (y, out_row) in (y0..).zip(out.chunks_exact_mut(w as usize)) {
+                let row = self.clamped_row(y);
+                out_row[..inside].fill(row[0]);
+                out_row[inside..outside].copy_from_slice(&row[first..first + outside - inside]);
+                out_row[outside..].fill(row[row.len() - 1]);
             }
         }
         GrayFrame::from_data(w, h, out).with_timestamp(self.timestamp)
@@ -270,25 +302,41 @@ impl GrayFrame {
 
     /// Bilinear resize to `(w, h)`.
     ///
+    /// Each output column's two source columns and weight are computed
+    /// once per call, each output row's once per row; every pixel then
+    /// evaluates the same f64 expression, in the same order, as a
+    /// per-pixel evaluation with clamped reads would.
+    ///
     /// # Panics
     /// Panics when either target dimension is zero.
     pub fn resize(&self, w: u32, h: u32) -> GrayFrame {
         assert!(w > 0 && h > 0, "target dimensions must be non-zero");
         let sx = self.width as f64 / w as f64;
         let sy = self.height as f64 / h as f64;
-        let mut out = Vec::with_capacity((w * h) as usize);
-        for y in 0..h {
+        let last_x = self.width as i64 - 1;
+        // Per output column: left and right source column, and weight.
+        let columns: Vec<(usize, usize, f64)> = (0..w)
+            .map(|x| {
+                let fx = (x as f64 + 0.5) * sx - 0.5;
+                let x0 = fx.floor();
+                let left = x0 as i64;
+                (
+                    left.clamp(0, last_x) as usize,
+                    (left + 1).clamp(0, last_x) as usize,
+                    fx - x0,
+                )
+            })
+            .collect();
+        let mut out = vec![0u8; (w * h) as usize];
+        for (y, out_row) in out.chunks_exact_mut(w as usize).enumerate() {
             let fy = (y as f64 + 0.5) * sy - 0.5;
             let y0 = fy.floor();
             let ty = fy - y0;
-            for x in 0..w {
-                let fx = (x as f64 + 0.5) * sx - 0.5;
-                let x0 = fx.floor();
-                let tx = fx - x0;
-                let p = |dx: i64, dy: i64| self.get_clamped(x0 as i64 + dx, y0 as i64 + dy) as f64;
-                let top = p(0, 0) * (1.0 - tx) + p(1, 0) * tx;
-                let bot = p(0, 1) * (1.0 - tx) + p(1, 1) * tx;
-                out.push((top * (1.0 - ty) + bot * ty).round().clamp(0.0, 255.0) as u8);
+            let (upper, lower) = (self.clamped_row(y0 as i64), self.clamped_row(y0 as i64 + 1));
+            for (o, &(left, right, tx)) in out_row.iter_mut().zip(&columns) {
+                let top = f64::from(upper[left]) * (1.0 - tx) + f64::from(upper[right]) * tx;
+                let bot = f64::from(lower[left]) * (1.0 - tx) + f64::from(lower[right]) * tx;
+                *o = round_to_u8(top * (1.0 - ty) + bot * ty);
             }
         }
         GrayFrame::from_data(w, h, out).with_timestamp(self.timestamp)
@@ -364,6 +412,21 @@ impl GrayFrame {
         let count = words.iter().map(|w| w.count_ones() as usize).sum();
         EdgeBits { words, count }
     }
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8` without a libm call: on the
+/// baseline x86-64 target `f64::round` is a function call, and the
+/// resize kernel rounds once per output pixel.
+///
+/// Equal for every `f64`. Truncation saturates, so negatives and NaN
+/// give 0 (as the clamp and the cast do) and values from 255 up give
+/// 255. Below 255, `v - t` is exact, and adding one from a fraction of
+/// one half rounds halves away from zero, as `round` does.
+#[inline]
+fn round_to_u8(v: f64) -> u8 {
+    let t = (v as u32).min(255);
+    let up = u32::from(v - f64::from(t) >= 0.5);
+    (t + up).min(255) as u8
 }
 
 /// A binary edge map packed 64 pixels to a word: pixel `i` (row-major)

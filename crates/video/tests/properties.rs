@@ -5,8 +5,8 @@ mod oracle;
 
 use dievent_video::{
     edge_change_ratio, frame_distance, histogram_chi_square, histogram_intersection, pixel_mad,
-    GrayFrame, KeyframeConfig, SceneConfig, ShotDetectorConfig, VideoParser, VideoParserConfig,
-    VideoSpec,
+    GrayFrame, KeyframeConfig, SceneConfig, ShotDetectorConfig, Timestamp, VideoParser,
+    VideoParserConfig, VideoSpec,
 };
 use proptest::prelude::*;
 
@@ -205,6 +205,110 @@ proptest! {
             frame_distance(&a, &b).to_bits(),
             oracle::frame_distance(&a, &b).to_bits()
         );
+    }
+}
+
+/// Frames of any size from 1×1 to 39×39 with independent random pixels
+/// and a timestamp, so every rounding and averaging case is reached.
+fn noise_frame() -> impl Strategy<Value = GrayFrame> {
+    (
+        1u32..40,
+        1u32..40,
+        proptest::collection::vec(0u8..=255, 39 * 39),
+        0u32..1000,
+    )
+        .prop_map(|(w, h, mut pixels, t)| {
+            pixels.truncate((w * h) as usize);
+            GrayFrame::from_data(w, h, pixels).with_timestamp(Timestamp(f64::from(t) / 25.0))
+        })
+}
+
+/// A `w × h` frame of hashed pixels.
+fn hashed(w: u32, h: u32, seed: u32) -> GrayFrame {
+    let pixels = (0..w * h)
+        .map(|i| (i.wrapping_add(seed).wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    GrayFrame::from_data(w, h, pixels)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn row_pair_downsample_matches_clamped_downsample(
+        f in noise_frame(),
+        g in any_size_frame(),
+    ) {
+        prop_assert_eq!(f.downsample2(), oracle::downsample2(&f));
+        prop_assert_eq!(g.downsample2(), oracle::downsample2(&g));
+    }
+
+    #[test]
+    fn row_slice_patch_matches_clamped_patch(
+        f in noise_frame(),
+        x0 in -50i64..50,
+        y0 in -50i64..50,
+        w in 0u32..48,
+        h in 0u32..48,
+    ) {
+        prop_assert_eq!(f.patch(x0, y0, w, h), oracle::patch(&f, x0, y0, w, h));
+    }
+
+    #[test]
+    fn precomputed_resize_matches_per_pixel_resize(
+        f in noise_frame(),
+        g in any_size_frame(),
+        w in 1u32..64,
+        h in 1u32..64,
+    ) {
+        prop_assert_eq!(f.resize(w, h), oracle::resize(&f, w, h));
+        prop_assert_eq!(g.resize(w, h), oracle::resize(&g, w, h));
+    }
+}
+
+/// Every source size up to 7×7, including 1×N and N×1: downsample,
+/// crops hanging off each edge (and wholly outside), and resizes to
+/// sizes on both sides of the source.
+#[test]
+fn pixel_kernels_match_oracles_on_small_sizes() {
+    for w in 1..=7u32 {
+        for h in 1..=7u32 {
+            let f = hashed(w, h, w * 31 + h);
+            assert_eq!(f.downsample2(), oracle::downsample2(&f), "{w}x{h}");
+            for x0 in -9..=9 {
+                for y0 in [-9, -3, -1, 0, 1, 3, 9] {
+                    for (pw, ph) in [(1, 1), (3, 2), (5, 5), (9, 4), (0, 3), (4, 0)] {
+                        assert_eq!(
+                            f.patch(x0, y0, pw, ph),
+                            oracle::patch(&f, x0, y0, pw, ph),
+                            "{w}x{h} patch at ({x0}, {y0}) of {pw}x{ph}"
+                        );
+                    }
+                }
+            }
+            for (rw, rh) in [(1, 1), (1, 9), (9, 1), (2, 3), (w, h), (13, 11), (48, 48)] {
+                assert_eq!(
+                    f.resize(rw, rh),
+                    oracle::resize(&f, rw, rh),
+                    "{w}x{h} resized to {rw}x{rh}"
+                );
+            }
+        }
+    }
+}
+
+/// A full camera frame through the monitor path (two downsamples) and
+/// a 61-pixel face crop resized to 48×48, as the pipeline runs them.
+#[test]
+fn pixel_kernels_match_oracles_at_pipeline_sizes() {
+    let frame = hashed(640, 480, 7);
+    let half = frame.downsample2();
+    assert_eq!(half, oracle::downsample2(&frame));
+    assert_eq!(half.downsample2(), oracle::downsample2(&half));
+    for (x0, y0) in [(-20, -20), (300, 200), (600, 450), (-61, 100), (640, 479)] {
+        let crop = frame.patch(x0, y0, 61, 61);
+        assert_eq!(crop, oracle::patch(&frame, x0, y0, 61, 61));
+        assert_eq!(crop.resize(48, 48), oracle::resize(&crop, 48, 48));
     }
 }
 

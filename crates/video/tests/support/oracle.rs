@@ -1,6 +1,7 @@
-//! The batch video parser and frame kernels as they were before parsing
-//! streamed: the reference the streaming `VideoParser` and the kernels'
-//! fast paths must match bit for bit.
+//! The batch video parser and the frame kernels as they were before
+//! parsing streamed and before the crop, resize and downsample kernels
+//! worked on row slices: the reference the streaming `VideoParser` and
+//! the kernels' fast paths must match bit for bit.
 //!
 //! Written against `dievent_video`'s public API only, so any test
 //! target can include it with `#[path = ".../oracle.rs"] mod oracle;`.
@@ -296,4 +297,59 @@ pub fn parse(config: &VideoParserConfig, spec: VideoSpec, frames: &[GrayFrame]) 
         boundaries,
         keyframes,
     }
+}
+
+/// 2× box-filter downsample with a clamped read for every tap.
+pub fn downsample2(frame: &GrayFrame) -> GrayFrame {
+    let (fw, fh) = (frame.width(), frame.height());
+    let w = (fw / 2).max(1);
+    let h = (fh / 2).max(1);
+    let mut out = vec![0u8; (w * h) as usize];
+    for y in 0..h {
+        for x in 0..w {
+            let sx = (x * 2).min(fw - 1);
+            let sy = (y * 2).min(fh - 1);
+            let a = frame.get(sx, sy) as u16;
+            let b = frame.get((sx + 1).min(fw - 1), sy) as u16;
+            let c = frame.get(sx, (sy + 1).min(fh - 1)) as u16;
+            let d2 = frame.get((sx + 1).min(fw - 1), (sy + 1).min(fh - 1)) as u16;
+            out[(y * w + x) as usize] = ((a + b + c + d2) / 4) as u8;
+        }
+    }
+    GrayFrame::from_data(w, h, out).with_timestamp(frame.timestamp)
+}
+
+/// Rectangular crop, one clamped read per output pixel.
+pub fn patch(frame: &GrayFrame, x0: i64, y0: i64, w: u32, h: u32) -> GrayFrame {
+    let mut out = vec![0u8; (w * h) as usize];
+    for y in 0..h {
+        for x in 0..w {
+            out[(y * w + x) as usize] = frame.get_clamped(x0 + x as i64, y0 + y as i64);
+        }
+    }
+    GrayFrame::from_data(w, h, out).with_timestamp(frame.timestamp)
+}
+
+/// Bilinear resize: per output pixel, two `floor`s, four clamped reads
+/// and a `round`.
+pub fn resize(frame: &GrayFrame, w: u32, h: u32) -> GrayFrame {
+    assert!(w > 0 && h > 0, "target dimensions must be non-zero");
+    let sx = frame.width() as f64 / w as f64;
+    let sy = frame.height() as f64 / h as f64;
+    let mut out = Vec::with_capacity((w * h) as usize);
+    for y in 0..h {
+        let fy = (y as f64 + 0.5) * sy - 0.5;
+        let y0 = fy.floor();
+        let ty = fy - y0;
+        for x in 0..w {
+            let fx = (x as f64 + 0.5) * sx - 0.5;
+            let x0 = fx.floor();
+            let tx = fx - x0;
+            let p = |dx: i64, dy: i64| frame.get_clamped(x0 as i64 + dx, y0 as i64 + dy) as f64;
+            let top = p(0, 0) * (1.0 - tx) + p(1, 0) * tx;
+            let bot = p(0, 1) * (1.0 - tx) + p(1, 1) * tx;
+            out.push((top * (1.0 - ty) + bot * ty).round().clamp(0.0, 255.0) as u8);
+        }
+    }
+    GrayFrame::from_data(w, h, out).with_timestamp(frame.timestamp)
 }

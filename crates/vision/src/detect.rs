@@ -4,7 +4,7 @@
 //! background, bodies and table (see [`crate::contract`]). Detection:
 //!
 //! 1. binarize at [`crate::contract::FACE_THRESHOLD`];
-//! 2. 4-connected component labelling (iterative flood fill);
+//! 2. 4-connected component labelling over each row's foreground runs;
 //! 3. filter components by area and by *circularity* — the ratio of the
 //!    component area to the area of the circle inscribed in its
 //!    bounding box. Merged/occluded double-heads and torso fragments
@@ -12,6 +12,7 @@
 
 use dievent_video::GrayFrame;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A detected face candidate in one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,97 +74,199 @@ impl Default for DetectorConfig {
 }
 
 /// Detects face candidates in a frame. Results are ordered by descending
-/// area (most prominent first).
+/// area (most prominent first); equal areas keep the raster order of
+/// their components' first pixels.
+///
+/// Labels runs, not pixels: each row's foreground runs are found with
+/// background skipped 32 bytes at a time, a run joins every run of the
+/// row above whose columns it overlaps (union-find), and each component
+/// sums its runs' area, coordinates and luminance in integers. Those
+/// sums are exact, so they convert to the same f64s a per-pixel f64
+/// accumulation produces.
 pub fn detect_faces(frame: &GrayFrame, config: &DetectorConfig) -> Vec<FaceDetection> {
     let w = frame.width() as usize;
-    let h = frame.height() as usize;
-    if w == 0 || h == 0 {
+    if w == 0 || frame.height() == 0 {
         return Vec::new();
     }
-    let data = frame.data();
-    // 0 = unvisited background/below threshold, 1 = foreground unvisited,
-    // 2 = visited.
-    let mut mask: Vec<u8> = data
+    let mut runs = Vec::new();
+    // Union-find over run indices. A set's root is its earliest run in
+    // raster order, so every entry points at a run no later than itself.
+    let mut parent = Vec::new();
+    let mut above = 0..0;
+    for (y, row) in frame.data().chunks_exact(w).enumerate() {
+        let current = runs.len();
+        push_runs(row, y, config.threshold, &mut runs);
+        parent.extend(current..runs.len());
+        join_rows(&runs, above, current..runs.len(), &mut parent);
+        above = current..runs.len();
+    }
+
+    // Number the components in order of their roots; each entry of
+    // `parent` is overwritten with its run's component as it is
+    // reached, after the entry it points at.
+    let mut components: Vec<Component> = Vec::new();
+    for (i, run) in runs.iter().enumerate() {
+        if parent[i] == i {
+            parent[i] = components.len();
+            components.push(Component::new(run));
+        } else {
+            parent[i] = parent[parent[i]];
+            components[parent[i]].add(run);
+        }
+    }
+
+    let mut detections: Vec<FaceDetection> = components
         .iter()
-        .map(|&v| u8::from(v >= config.threshold))
+        .filter_map(|c| c.detection(config))
         .collect();
+    detections.sort_by_key(|d| std::cmp::Reverse(d.area));
+    detections
+}
 
-    let mut detections = Vec::new();
-    let mut stack: Vec<usize> = Vec::new();
+/// Background is skipped this many bytes at a time: a block whose
+/// brightest pixel is below the threshold holds no run.
+const SKIP: usize = 32;
 
-    for start in 0..mask.len() {
-        if mask[start] != 1 {
-            continue;
+/// A maximal span `[start, end)` of row `y` at or above the threshold.
+struct Run {
+    y: usize,
+    start: usize,
+    end: usize,
+    /// Sum of the run's pixel values.
+    luminance: u64,
+}
+
+/// Appends row `y`'s foreground runs to `runs`.
+fn push_runs(row: &[u8], y: usize, threshold: u8, runs: &mut Vec<Run>) {
+    let mut x = 0;
+    while x < row.len() {
+        let (blocks, _) = row[x..].as_chunks::<SKIP>();
+        let dark = blocks
+            .iter()
+            .take_while(|b| b.iter().fold(0, |m, &v| m.max(v)) < threshold)
+            .count();
+        x += dark * SKIP;
+        let Some(offset) = row[x..].iter().position(|&v| v >= threshold) else {
+            break;
+        };
+        let start = x + offset;
+        let end = row[start..]
+            .iter()
+            .position(|&v| v < threshold)
+            .map_or(row.len(), |n| start + n);
+        let luminance = row[start..end].iter().map(|&v| u64::from(v)).sum();
+        runs.push(Run {
+            y,
+            start,
+            end,
+            luminance,
+        });
+        x = end;
+    }
+}
+
+/// Joins each run of the current row with every run of the row above
+/// whose column span it overlaps: 4-connectivity between rows.
+fn join_rows(runs: &[Run], above: Range<usize>, current: Range<usize>, parent: &mut [usize]) {
+    let (mut a, mut c) = (above.start, current.start);
+    while a < above.end && c < current.end {
+        let (up, run) = (&runs[a], &runs[c]);
+        if up.start < run.end && run.start < up.end {
+            let (ra, rc) = (find(parent, a), find(parent, c));
+            parent[ra.max(rc)] = ra.min(rc);
         }
-        // Iterative flood fill of one component.
-        mask[start] = 2;
-        stack.push(start);
-        let mut area = 0usize;
-        let mut sum_x = 0.0f64;
-        let mut sum_y = 0.0f64;
-        let mut sum_lum = 0.0f64;
-        let (mut x0, mut y0, mut x1, mut y1) = (w, h, 0usize, 0usize);
-
-        while let Some(idx) = stack.pop() {
-            let x = idx % w;
-            let y = idx / w;
-            area += 1;
-            sum_x += x as f64;
-            sum_y += y as f64;
-            sum_lum += data[idx] as f64;
-            x0 = x0.min(x);
-            x1 = x1.max(x);
-            y0 = y0.min(y);
-            y1 = y1.max(y);
-
-            // 4-connected neighbours.
-            if x > 0 && mask[idx - 1] == 1 {
-                mask[idx - 1] = 2;
-                stack.push(idx - 1);
-            }
-            if x + 1 < w && mask[idx + 1] == 1 {
-                mask[idx + 1] = 2;
-                stack.push(idx + 1);
-            }
-            if y > 0 && mask[idx - w] == 1 {
-                mask[idx - w] = 2;
-                stack.push(idx - w);
-            }
-            if y + 1 < h && mask[idx + w] == 1 {
-                mask[idx + w] = 2;
-                stack.push(idx + w);
-            }
+        if up.end <= run.end {
+            a += 1;
+        } else {
+            c += 1;
         }
+    }
+}
 
+/// The root of `i`'s set, halving the path on the way.
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
+/// One connected component's running totals.
+struct Component {
+    area: u64,
+    sum_x: u64,
+    sum_y: u64,
+    luminance: u64,
+    x0: usize,
+    y0: usize,
+    x1: usize,
+    y1: usize,
+}
+
+impl Component {
+    fn new(run: &Run) -> Self {
+        let mut c = Component {
+            area: 0,
+            sum_x: 0,
+            sum_y: 0,
+            luminance: 0,
+            x0: run.start,
+            y0: run.y,
+            x1: 0,
+            y1: 0,
+        };
+        c.add(run);
+        c
+    }
+
+    fn add(&mut self, run: &Run) {
+        let len = (run.end - run.start) as u64;
+        self.area += len;
+        // start + … + (end - 1); the product is even.
+        self.sum_x += (run.start + run.end - 1) as u64 * len / 2;
+        self.sum_y += run.y as u64 * len;
+        self.luminance += run.luminance;
+        self.x0 = self.x0.min(run.start);
+        self.x1 = self.x1.max(run.end - 1);
+        self.y0 = self.y0.min(run.y);
+        self.y1 = self.y1.max(run.y);
+    }
+
+    /// The component as a face, if it passes the area, aspect and
+    /// circularity filters.
+    fn detection(&self, config: &DetectorConfig) -> Option<FaceDetection> {
+        let area = self.area as usize;
         if area < config.min_area || area > config.max_area {
-            continue;
+            return None;
         }
-        let bw = (x1 - x0 + 1) as f64;
-        let bh = (y1 - y0 + 1) as f64;
+        let bw = (self.x1 - self.x0 + 1) as f64;
+        let bh = (self.y1 - self.y0 + 1) as f64;
         let aspect = bw.max(bh) / bw.min(bh);
         if aspect > config.max_aspect {
-            continue;
+            return None;
         }
         // A filled circle inscribed in its bbox covers π/4 of it; interior
         // feature holes (eyes/mouth) lower that slightly, merged blobs
         // lower it a lot.
         let circularity = area as f64 / (std::f64::consts::FRAC_PI_4 * bw * bh);
         if circularity < config.min_circularity {
-            continue;
+            return None;
         }
-
-        detections.push(FaceDetection {
-            cx: sum_x / area as f64,
-            cy: sum_y / area as f64,
+        Some(FaceDetection {
+            cx: self.sum_x as f64 / area as f64,
+            cy: self.sum_y as f64 / area as f64,
             radius: (bw + bh) / 4.0,
-            bbox: (x0 as u32, y0 as u32, x1 as u32, y1 as u32),
+            bbox: (
+                self.x0 as u32,
+                self.y0 as u32,
+                self.x1 as u32,
+                self.y1 as u32,
+            ),
             area,
-            mean_luminance: sum_lum / area as f64,
-        });
+            mean_luminance: self.luminance as f64 / area as f64,
+        })
     }
-
-    detections.sort_by_key(|d| std::cmp::Reverse(d.area));
-    detections
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use crate::detect::FaceDetection;
 use crate::types::PersonId;
 use dievent_video::GrayFrame;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Length of the radial profile part of the embedding.
 const PROFILE_BINS: usize = 8;
@@ -45,35 +46,74 @@ pub fn embed(det: &FaceDetection, patch: &GrayFrame) -> Embedding {
 
     // Radial profile: mean luminance in concentric rings around the
     // patch centre, normalized to the patch mean to decouple from tone.
-    let w = patch.width() as f64;
-    let h = patch.height() as f64;
-    let (cx, cy) = (w / 2.0, h / 2.0);
-    let max_r = cx.min(cy);
-    let mut sums = [0.0f64; PROFILE_BINS];
-    let mut counts = [0usize; PROFILE_BINS];
-    for y in 0..patch.height() {
-        for x in 0..patch.width() {
-            let dx = x as f64 + 0.5 - cx;
-            let dy = y as f64 + 0.5 - cy;
-            let r = (dx * dx + dy * dy).sqrt() / max_r;
-            if r >= 1.0 {
-                continue;
-            }
-            let bin = (r * PROFILE_BINS as f64) as usize;
-            sums[bin] += patch.get(x, y) as f64;
-            counts[bin] += 1;
+    // Ring sums are integers, exact as the f64 they convert to; the
+    // last slot collects the pixels outside the inscribed circle.
+    let mut sums = [0u64; PROFILE_BINS + 1];
+    let mut counts = [0usize; PROFILE_BINS + 1];
+    RINGS.with_borrow_mut(|rings| {
+        let rings = rings.for_size(patch.width(), patch.height());
+        for (&px, &ring) in patch.data().iter().zip(rings) {
+            sums[usize::from(ring)] += u64::from(px);
+            counts[usize::from(ring)] += 1;
         }
-    }
+    });
     let mean = patch.mean().max(1.0);
-    for (s, c) in sums.iter().zip(&counts) {
+    for (s, c) in sums.iter().zip(&counts).take(PROFILE_BINS) {
         // Scaled to be secondary to the tone channel.
         v.push(if *c > 0 {
-            s / *c as f64 / mean * 10.0
+            *s as f64 / *c as f64 / mean * 10.0
         } else {
             0.0
         });
     }
     Embedding(v)
+}
+
+thread_local! {
+    /// The ring table of the last patch size embedded on this thread:
+    /// the pipeline crops every face to one size.
+    static RINGS: RefCell<RingTable> = const {
+        RefCell::new(RingTable {
+            width: 0,
+            height: 0,
+            rings: Vec::new(),
+        })
+    };
+}
+
+/// The profile ring of every pixel of a `width × height` patch, row
+/// major; [`PROFILE_BINS`] marks a pixel outside the inscribed circle.
+struct RingTable {
+    width: u32,
+    height: u32,
+    rings: Vec<u8>,
+}
+
+impl RingTable {
+    /// The table for `width × height`, rebuilt when the size changes.
+    fn for_size(&mut self, width: u32, height: u32) -> &[u8] {
+        if (self.width, self.height) != (width, height) {
+            let (w, h) = (width as f64, height as f64);
+            let (cx, cy) = (w / 2.0, h / 2.0);
+            let max_r = cx.min(cy);
+            self.rings.clear();
+            for y in 0..height {
+                for x in 0..width {
+                    let dx = x as f64 + 0.5 - cx;
+                    let dy = y as f64 + 0.5 - cy;
+                    let r = (dx * dx + dy * dy).sqrt() / max_r;
+                    let ring = if r >= 1.0 {
+                        PROFILE_BINS
+                    } else {
+                        (r * PROFILE_BINS as f64) as usize
+                    };
+                    self.rings.push(ring as u8);
+                }
+            }
+            (self.width, self.height) = (width, height);
+        }
+        &self.rings
+    }
 }
 
 /// Recognizer tuning.
