@@ -48,9 +48,9 @@ pub enum DiEventError {
         /// The spawn error's text.
         message: String,
     },
-    /// A task submitted to the shared work-stealing pool panicked
-    /// (frame-chunk extraction or per-frame fusion). The session's
-    /// results are discarded rather than returned partially.
+    /// A frame-extraction chunk running on the session's thread pool
+    /// panicked. The session's results are discarded rather than
+    /// returned partially.
     PoolWorkerPanicked,
     /// The metadata repository rejected an insert.
     Store(String),
@@ -82,7 +82,7 @@ impl fmt::Display for DiEventError {
                 write!(f, "camera {camera} lane thread could not start: {message}")
             }
             DiEventError::PoolWorkerPanicked => {
-                write!(f, "a work-stealing pool task panicked")
+                write!(f, "a frame-extraction pool task panicked")
             }
             DiEventError::Store(msg) => write!(f, "metadata store error: {msg}"),
             DiEventError::Observe(msg) => write!(f, "observability plane error: {msg}"),

@@ -31,10 +31,9 @@ pub struct ObserveConfig {
     /// [`PipelineSession::observer`](crate::PipelineSession::observer)
     /// → [`LivePlane::local_addr`](dievent_telemetry::LivePlane::local_addr).
     pub http_addr: Option<SocketAddr>,
-    /// Interval between sampler ticks (heartbeat + rate window).
+    /// Interval between sampler ticks (heartbeat + rate window). The
+    /// plane keeps the last 120 windows.
     pub sample_interval: Duration,
-    /// Rate windows retained in the bounded ring.
-    pub ring_len: usize,
     /// Run the sampler (and attach `rate_windows` to the final
     /// report) even without an HTTP endpoint.
     pub sample_rates: bool,
@@ -45,21 +44,20 @@ pub struct ObserveConfig {
     /// `GET /lineage` when the HTTP endpoint runs). Independent of
     /// the plane: works with or without `http_addr`/`sample_rates`.
     pub trace_lineage: bool,
-    /// Full [`FrameWaterfall`](dievent_telemetry::FrameWaterfall)s
-    /// retained by the lineage reservoir (the slowest-frame exemplars
-    /// are kept on top of this).
-    pub lineage_reservoir: usize,
 }
+
+/// Full [`FrameWaterfall`](dievent_telemetry::FrameWaterfall)s a traced
+/// session's lineage reservoir keeps (the slowest-frame exemplars are
+/// kept on top of these).
+pub(crate) const LINEAGE_RESERVOIR: usize = 256;
 
 impl Default for ObserveConfig {
     fn default() -> Self {
         ObserveConfig {
             http_addr: None,
             sample_interval: Duration::from_millis(250),
-            ring_len: 120,
             sample_rates: false,
             trace_lineage: false,
-            lineage_reservoir: 256,
         }
     }
 }
@@ -73,24 +71,9 @@ impl ObserveConfig {
     /// Internal-consistency check, folded into
     /// [`PipelineConfig::validate`](crate::PipelineConfig::validate).
     pub(crate) fn validate(&self) -> Result<(), DiEventError> {
-        // The lineage tracer runs with or without the plane, so its
-        // knob is checked regardless of `is_active()`.
-        if self.trace_lineage && self.lineage_reservoir == 0 {
-            return Err(DiEventError::InvalidConfig(
-                "observe.lineage_reservoir must be >= 1 waterfall".into(),
-            ));
-        }
-        if !self.is_active() {
-            return Ok(());
-        }
-        if self.sample_interval.is_zero() {
+        if self.is_active() && self.sample_interval.is_zero() {
             return Err(DiEventError::InvalidConfig(
                 "observe.sample_interval must be > 0".into(),
-            ));
-        }
-        if self.ring_len == 0 {
-            return Err(DiEventError::InvalidConfig(
-                "observe.ring_len must be >= 1 window".into(),
             ));
         }
         Ok(())
@@ -110,13 +93,8 @@ impl Serialize for ObserveConfig {
             "sample_interval".to_owned(),
             self.sample_interval.serialize(),
         );
-        map.insert("ring_len".to_owned(), self.ring_len.serialize());
         map.insert("sample_rates".to_owned(), self.sample_rates.serialize());
         map.insert("trace_lineage".to_owned(), self.trace_lineage.serialize());
-        map.insert(
-            "lineage_reservoir".to_owned(),
-            self.lineage_reservoir.serialize(),
-        );
         Value::Object(map)
     }
 }
@@ -136,24 +114,18 @@ impl Deserialize for ObserveConfig {
                 SerdeError::custom(format!("ObserveConfig.http_addr {text:?}: {e}"))
             })?),
         };
-        // The lineage fields arrived after configs started round-tripping,
-        // so missing keys fall back to the defaults instead of erroring.
-        let defaults = ObserveConfig::default();
+        // `trace_lineage` arrived after configs started round-tripping,
+        // so a missing key falls back to the default instead of erroring.
+        // The retired `ring_len` and `lineage_reservoir` keys are ignored.
         let trace_lineage = match map.get("trace_lineage") {
             Some(value) => bool::deserialize(value)?,
-            None => defaults.trace_lineage,
-        };
-        let lineage_reservoir = match map.get("lineage_reservoir") {
-            Some(value) => usize::deserialize(value)?,
-            None => defaults.lineage_reservoir,
+            None => ObserveConfig::default().trace_lineage,
         };
         Ok(ObserveConfig {
             http_addr,
             sample_interval: Duration::deserialize(field("sample_interval")?)?,
-            ring_len: usize::deserialize(field("ring_len")?)?,
             sample_rates: bool::deserialize(field("sample_rates")?)?,
             trace_lineage,
-            lineage_reservoir,
         })
     }
 }
@@ -229,9 +201,9 @@ impl Drop for CameraAliveGuard {
 
 /// Cursor over the pool's monotonic counters: the last values already
 /// published into the telemetry domain. Shared between the heartbeat
-/// (incremental publishing, so windowed steal/task rates exist
-/// mid-run) and finish (publishing the remainder) — each increment is
-/// counted exactly once.
+/// (incremental publishing, so windowed task rates exist mid-run) and
+/// finish (publishing the remainder) — each increment is counted
+/// exactly once.
 pub(crate) struct PoolCursor(Mutex<PoolStats>);
 
 impl PoolCursor {
@@ -247,9 +219,6 @@ impl PoolCursor {
         telemetry
             .counter("pool.tasks")
             .add(now.tasks.saturating_sub(last.tasks));
-        telemetry
-            .counter("pool.steals")
-            .add(now.steals.saturating_sub(last.steals));
         telemetry
             .counter("pool.task_wait_ns")
             .add(now.queue_wait_ns.saturating_sub(last.queue_wait_ns));
@@ -274,10 +243,8 @@ mod tests {
         let config = ObserveConfig {
             http_addr: Some("127.0.0.1:9184".parse().expect("addr")),
             sample_interval: Duration::from_millis(125),
-            ring_len: 16,
             sample_rates: true,
             trace_lineage: true,
-            lineage_reservoir: 32,
         };
         let value = config.serialize();
         let back = ObserveConfig::deserialize(&value).expect("round trip");
@@ -296,14 +263,9 @@ mod tests {
         let mut value = ObserveConfig::default().serialize();
         if let Value::Object(map) = &mut value {
             map.remove("trace_lineage");
-            map.remove("lineage_reservoir");
         }
         let back = ObserveConfig::deserialize(&value).expect("legacy config");
         assert!(!back.trace_lineage);
-        assert_eq!(
-            back.lineage_reservoir,
-            ObserveConfig::default().lineage_reservoir
-        );
     }
 
     #[test]
@@ -322,32 +284,12 @@ mod tests {
     fn validation_only_applies_when_active() {
         let mut config = ObserveConfig {
             sample_interval: Duration::ZERO,
-            ring_len: 0,
             ..ObserveConfig::default()
         };
         assert!(config.validate().is_ok(), "inactive config is unchecked");
         config.sample_rates = true;
         assert!(config.validate().is_err());
         config.sample_interval = Duration::from_millis(10);
-        assert!(config.validate().is_err(), "ring_len 0 still invalid");
-        config.ring_len = 1;
-        assert!(config.validate().is_ok());
-    }
-
-    #[test]
-    fn lineage_reservoir_is_checked_even_when_plane_is_inactive() {
-        let config = ObserveConfig {
-            trace_lineage: true,
-            lineage_reservoir: 0,
-            ..ObserveConfig::default()
-        };
-        assert!(!config.is_active());
-        assert!(config.validate().is_err());
-        let config = ObserveConfig {
-            trace_lineage: true,
-            lineage_reservoir: 1,
-            ..ObserveConfig::default()
-        };
         assert!(config.validate().is_ok());
     }
 

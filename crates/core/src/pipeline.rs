@@ -68,9 +68,8 @@ pub struct PipelineConfig {
     pub classify_emotions: bool,
     /// Run video composition analysis.
     pub parse_video: bool,
-    /// Worker threads for the work-stealing pool that runs every
-    /// camera's extraction chunks (stage 3) and the per-frame
-    /// look-at/fusion work (stage 4). `0` (the default) shares the
+    /// Worker threads for the thread pool that runs every camera's
+    /// extraction chunks (stage 3). `0` (the default) shares the
     /// lazily-created global pool sized from `available_parallelism` —
     /// the recommended setting, since one shared pool avoids
     /// oversubscription no matter how many sessions or cameras run at
@@ -289,14 +288,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Full frame waterfalls retained by the lineage reservoir
-    /// (slowest-frame exemplars are always kept on top).
-    #[must_use = "the setter consumes and returns the builder"]
-    pub fn lineage_reservoir(mut self, waterfalls: usize) -> Self {
-        self.config.observe.lineage_reservoir = waterfalls;
-        self
-    }
-
     /// Validates and returns the configuration.
     #[must_use = "dropping the result discards both the config and any validation error"]
     pub fn build(self) -> Result<PipelineConfig, DiEventError> {
@@ -497,24 +488,15 @@ mod tests {
                 .build()
                 .is_ok());
         }
-        assert!(matches!(
-            PipelineConfig::builder()
-                .trace_lineage(true)
-                .lineage_reservoir(0)
-                .build(),
-            Err(DiEventError::InvalidConfig(_))
-        ));
         let config = PipelineConfig::builder()
             .reorder_window(4)
             .channel_capacity(2)
             .trace_lineage(true)
-            .lineage_reservoir(64)
             .build()
             .expect("valid");
         assert_eq!(config.streaming.reorder_window, 4);
         assert_eq!(config.streaming.channel_capacity, 2);
         assert!(config.observe.trace_lineage);
-        assert_eq!(config.observe.lineage_reservoir, 64);
     }
 
     #[test]
@@ -549,20 +531,29 @@ mod tests {
 
     #[test]
     fn config_json_with_retired_keys_decodes_to_the_same_config() {
-        // An `OpenEvent` body from before the session had one execution
-        // path still carries two knobs it no longer has; unknown keys
-        // are ignored on decode.
+        // An `OpenEvent` body from an older client still carries knobs
+        // the config no longer has: two from before the session had one
+        // execution path, and the live plane's ring length and lineage
+        // reservoir size, now fixed. Unknown keys are ignored on decode.
         let config = PipelineConfig::builder()
             .classify_emotions(false)
             .pool_threads(3)
+            .trace_lineage(true)
             .build()
             .expect("valid");
         let json = serde_json::to_string(&config).expect("encode");
-        let old = json.replacen(
-            '{',
-            r#"{"parallel_cameras":false,"frame_parallel":true,"#,
-            1,
-        );
+        let old = json
+            .replacen(
+                '{',
+                r#"{"parallel_cameras":false,"frame_parallel":true,"#,
+                1,
+            )
+            .replacen(
+                r#""observe":{"#,
+                r#""observe":{"ring_len":16,"lineage_reservoir":32,"#,
+                1,
+            );
+        assert!(old.contains(r#""lineage_reservoir":32"#), "{old}");
         let decoded: PipelineConfig = serde_json::from_str(&old).expect("decode");
         assert_eq!(decoded, config);
     }

@@ -16,12 +16,12 @@
 //! one batch, a batch of one included, and runs it in two phases.
 //! Phase A is pure (detection, landmarks, pose, recognition, emotion
 //! classification) and fans contiguous frame chunks over the session's
-//! work-stealing pool; a lone chunk runs inline on the lane. Phase B
+//! thread pool; a lone chunk runs inline on the lane. Phase B
 //! (tracking, pose carry-forward) integrates the results in frame
 //! order. A sequencer fuses per-camera outputs into per-frame
-//! [`FrameAnalysis`] results on the same pool, tolerating out-of-order
-//! camera arrival within a configurable reorder window, and
-//! [`PipelineSession::finish`] runs the remaining batch stages
+//! [`FrameAnalysis`] results on the thread that pushes or polls,
+//! tolerating out-of-order camera arrival within a configurable reorder
+//! window, and [`PipelineSession::finish`] runs the remaining batch stages
 //! (smoothing, summary, parsing, metadata) to produce the same
 //! [`EventAnalysis`] the batch entry point returns.
 //!
@@ -31,7 +31,7 @@
 
 use crate::error::DiEventError;
 use crate::ids::CameraId;
-use crate::observe::{CameraAliveGuard, PoolCursor, SessionVitals};
+use crate::observe::{CameraAliveGuard, PoolCursor, SessionVitals, LINEAGE_RESERVOIR};
 use crate::pipeline::{DiEventPipeline, PipelineConfig};
 use crate::report::{EventAnalysis, StageTimings};
 use dievent_analysis::layers::TimeInvariantContext;
@@ -44,7 +44,7 @@ use dievent_analysis::{
 use dievent_emotion::{EmotionClassifier, ExtractArena};
 use dievent_geometry::{Iso3, PinholeCamera, Vec3};
 use dievent_metadata::{MetaRecord, MetadataRepository, RecordKind};
-use dievent_pool::{ThreadPool, WorkerLocal};
+use dievent_pool::ThreadPool;
 use dievent_scene::Scenario;
 use dievent_summarize::{
     detect_highlights, importance_series, select_summary, Highlight, HighlightKind,
@@ -58,6 +58,7 @@ use dievent_vision::{
     ExtractorConfig, FaceGallery, FaceObservation, FeatureExtractor, FrameRaw, PersonId,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -315,11 +316,6 @@ struct Sequencer {
     /// Stage-2 video composition analysis, fed camera 0's monitor
     /// frames as they arrive (`None` when `parse_video` is off).
     parser: Option<VideoParser>,
-    /// Stage-4 fan-out pool.
-    pool: ThreadPool,
-    /// Set when a pool task died mid-fusion; surfaced as
-    /// [`DiEventError::PoolWorkerPanicked`] at finish.
-    pool_panicked: bool,
     /// Mirror of `frontier` the observability heartbeat reads as the
     /// `session.watermark_frame` gauge, and the per-camera ingest
     /// counts the feeds keep.
@@ -333,12 +329,6 @@ struct Sequencer {
     lookat_tests: Counter,
 }
 
-/// Minimum backlog of ready frames before stage-4 fusion fans out
-/// across the pool: below this the whole backlog is one chunk, which
-/// the pool runs inline, since the join overhead outweighs the work
-/// (streaming sessions typically fuse one frame at a time).
-const PARALLEL_FUSE_MIN: usize = 8;
-
 impl Sequencer {
     #[allow(clippy::too_many_arguments)]
     fn new(
@@ -346,15 +336,12 @@ impl Sequencer {
         participants: usize,
         camera_poses: Vec<Iso3>,
         config: PipelineConfig,
-        pool: ThreadPool,
         vitals: Arc<SessionVitals>,
         lineage: LineageTracer,
         outputs: Receiver<WorkerOutput>,
         telemetry: &Telemetry,
     ) -> Self {
         Sequencer {
-            pool,
-            pool_panicked: false,
             vitals,
             lineage,
             cameras,
@@ -425,13 +412,12 @@ impl Sequencer {
     /// returned is never overdue. Results always accumulate in
     /// ascending frame order.
     ///
-    /// The per-frame math ([`fuse_one`](Self::fuse_one)) carries no
-    /// cross-frame state, so the ready frames fan out across the pool in
-    /// chunks (one inline chunk below [`PARALLEL_FUSE_MIN`]); results
-    /// are collected into positional slots, so the order is the same
-    /// however the chunks are scheduled.
+    /// Fusion costs microseconds per frame, so ready frames fuse here,
+    /// on the calling thread, sharing one look-at scratch.
     fn fuse_ready(&mut self, force: bool) {
-        let mut ready: Vec<(usize, Vec<Option<CameraFrameOutput>>, usize)> = Vec::new();
+        let fused_before = self.frame_numbers.len();
+        let n = self.participants;
+        let mut scratch = LookAtScratch::new();
         while let Some(entry) = self.pending.first_entry() {
             let frame = *entry.key();
             let arrived = entry.get().iter().filter(|s| s.is_some()).count();
@@ -453,67 +439,36 @@ impl Sequencer {
             if !complete {
                 self.evictions.incr();
             }
-            ready.push((frame, slots, arrived));
-        }
-        self.vitals
-            .watermark
-            .store(self.frontier as u64, Ordering::Release);
-        self.occupancy.set(self.pending.len() as f64);
-        if ready.is_empty() {
-            return;
-        }
-
-        // Each frame's fusion is bracketed with lineage stamps (noops
-        // when tracing is off) so the waterfall records the fuse span
-        // even when frames fan out across the pool.
-        let chunk = if ready.len() < PARALLEL_FUSE_MIN {
-            ready.len()
-        } else {
-            ready.len().div_ceil(self.pool.threads().max(1) * 4)
-        };
-        let fused = self
-            .pool
-            .parallel_chunk_map(&ready, chunk, |_, chunk_items| {
-                // One look-at scratch per chunk, reused across its frames.
-                let mut scratch = LookAtScratch::new();
-                chunk_items
-                    .iter()
-                    .map(|(_, slots, _)| {
-                        let t0 = self.lineage.now_s();
-                        let out = self.fuse_one(slots, &mut scratch);
-                        (t0, out, self.lineage.now_s())
-                    })
-                    .collect()
-            });
-        let Ok(fused) = fused else {
-            self.pool_panicked = true;
-            return;
-        };
-
-        let n = self.participants;
-        for ((frame, _, arrived), (fuse_start, (matrix, emotions), fuse_end)) in
-            ready.into_iter().zip(fused)
-        {
+            // The fuse span is bracketed with lineage stamps (noops when
+            // tracing is off).
+            let fuse_start = self.lineage.now_s();
+            let (matrix, emotions) = self.fuse_one(&slots, &mut scratch);
+            self.lineage
+                .fused(frame as u64, fuse_start, self.lineage.now_s());
             // Every ordered pair is geometrically tested per frame.
             self.lookat_tests.add((n * n.saturating_sub(1)) as u64);
-            self.lineage.fused(frame as u64, fuse_start, fuse_end);
             self.frame_numbers.push(frame);
             self.cameras_reporting.push(arrived);
             self.raw_matrices.push(matrix);
             self.emotion_frames.push(emotions);
             self.fused.incr();
         }
-        // Anything still in flight below the frontier can never fuse
-        // (late arrivals are discarded on insert); retire it so the
-        // tracer's in-flight map stays bounded.
-        self.lineage.retire_below(self.frontier as u64);
+        self.vitals
+            .watermark
+            .store(self.frontier as u64, Ordering::Release);
+        self.occupancy.set(self.pending.len() as f64);
+        if self.frame_numbers.len() > fused_before {
+            // Anything still in flight below the frontier can never fuse
+            // (late arrivals are discarded on insert); retire it so the
+            // tracer's in-flight map stays bounded.
+            self.lineage.retire_below(self.frontier as u64);
+        }
     }
 
     /// Identical math to the batch stage-4 inner loop: fuse the
     /// per-camera observations, derive the look-at matrix, and keep the
-    /// best-resolved emotion estimate per participant. Pure with
-    /// respect to the sequencer (takes `&self`), so frames may fuse
-    /// concurrently.
+    /// best-resolved emotion estimate per participant. Carries no
+    /// cross-frame state.
     fn fuse_one(
         &self,
         slots: &[Option<CameraFrameOutput>],
@@ -562,9 +517,17 @@ impl Sequencer {
     }
 }
 
+std::thread_local! {
+    /// This thread's extraction arena: every Phase-A chunk that runs on
+    /// the thread reuses its LBP/MLP buffers, so the steady-state
+    /// classify path allocates nothing inside the kernels.
+    static ARENA: Cell<Option<ExtractArena>> = const { Cell::new(None) };
+}
+
 /// Classifies one frame's identified faces in a single batched pass
-/// through this worker's [`ExtractArena`], returning the session's
-/// `(person, probabilities, confidence, radius)` tuples in face order.
+/// through the calling thread's [`ExtractArena`], returning the
+/// session's `(person, probabilities, confidence, radius)` tuples in
+/// face order.
 ///
 /// Bit-identical per face to the emotion kernels' one-face oracles (the
 /// batched kernels keep their operation order per sample — see
@@ -573,23 +536,25 @@ impl Sequencer {
 fn classify_identified(
     clf: &EmotionClassifier,
     faces: &[(usize, f64, &GrayFrame)],
-    arena: &WorkerLocal<ExtractArena>,
 ) -> Vec<(usize, Vec<f64>, f64, f64)> {
     if faces.is_empty() {
         return Vec::new();
     }
-    arena.with(|a| {
-        let patches: Vec<&GrayFrame> = faces.iter().map(|&(_, _, patch)| patch).collect();
-        let preds = clf.classify_batch_with(&patches, a);
-        faces
-            .iter()
-            .enumerate()
-            .map(|(i, &(person, radius, _))| {
-                let (_, confidence) = preds.top(i);
-                (person, preds.probabilities(i).to_vec(), confidence, radius)
-            })
-            .collect()
-    })
+    // Taken, not borrowed: a nested call on this thread gets a fresh
+    // arena instead of a borrow panic.
+    let mut arena = ARENA.take().unwrap_or_default();
+    let patches: Vec<&GrayFrame> = faces.iter().map(|&(_, _, patch)| patch).collect();
+    let preds = clf.classify_batch_with(&patches, &mut arena);
+    let classified = faces
+        .iter()
+        .enumerate()
+        .map(|(i, &(person, radius, _))| {
+            let (_, confidence) = preds.top(i);
+            (person, preds.probabilities(i).to_vec(), confidence, radius)
+        })
+        .collect();
+    ARENA.set(Some(arena));
+    classified
 }
 
 struct CameraStage {
@@ -605,11 +570,6 @@ struct CameraStage {
     classified: Counter,
     lineage: LineageTracer,
     frames: usize,
-    /// Per-pool-worker extraction arenas: each worker that picks up one
-    /// of this camera's Phase-A chunks reuses its own LBP/MLP buffers
-    /// across every frame it processes, so the steady-state classify
-    /// path allocates nothing inside the kernels.
-    arena: WorkerLocal<ExtractArena>,
 }
 
 impl CameraStage {
@@ -639,7 +599,6 @@ impl CameraStage {
             extractor: None,
             lineage,
             frames: 0,
-            arena: WorkerLocal::new(),
         }
     }
 
@@ -785,7 +744,7 @@ impl CameraStage {
                             .identified_faces()
                             .map(|(person, radius, patch)| (person.0, radius, patch))
                             .collect();
-                        classify_identified(clf, &faces, &self.arena)
+                        classify_identified(clf, &faces)
                     }
                     None => Vec::new(),
                 };
@@ -968,8 +927,8 @@ pub struct PipelineSession {
     /// Cursor into the sequencer's accumulators for [`poll`](Self::poll).
     emitted: usize,
     shutdown: Arc<AtomicBool>,
-    /// The session's work-stealing pool: the shared global pool by
-    /// default (`pool_threads: 0`), a private one otherwise.
+    /// The session's thread pool: the shared global pool by default
+    /// (`pool_threads: 0`), a private one otherwise.
     pool: ThreadPool,
     /// Cursor over the pool's monotonic counters: the heartbeat
     /// publishes incremental deltas mid-run, finish publishes the
@@ -1044,9 +1003,9 @@ impl PipelineSession {
         );
         let classifier = pipeline.classifier();
         let camera_poses: Vec<Iso3> = scenario.rig.cameras.iter().map(|c| c.pose).collect();
-        // One pool shared by every camera lane (and stage-4 fusion):
-        // N cameras fanning frame chunks produce tasks for a single
-        // set of workers, never `cameras × threads` threads.
+        // One pool shared by every camera lane: N cameras fanning frame
+        // chunks produce tasks for a single set of workers, never
+        // `cameras × threads` threads.
         let pool = if config.pool_threads == 0 {
             ThreadPool::global().clone()
         } else {
@@ -1056,7 +1015,7 @@ impl PipelineSession {
         let pool_panic = Arc::new(AtomicBool::new(false));
         let vitals = Arc::new(SessionVitals::new(cameras));
         let lineage = if config.observe.trace_lineage {
-            LineageTracer::enabled(&telemetry, cameras, config.observe.lineage_reservoir)
+            LineageTracer::enabled(&telemetry, cameras, LINEAGE_RESERVOIR)
         } else {
             LineageTracer::disabled()
         };
@@ -1066,7 +1025,6 @@ impl PipelineSession {
             participants,
             camera_poses,
             config,
-            pool.clone(),
             Arc::clone(&vitals),
             lineage.clone(),
             out_rx,
@@ -1162,7 +1120,7 @@ impl PipelineSession {
                 LiveOptions {
                     http_addr: config.observe.http_addr,
                     sample_interval: config.observe.sample_interval,
-                    ring_len: config.observe.ring_len,
+                    ..LiveOptions::default()
                 },
                 true,
                 move |probe| {
@@ -1384,9 +1342,6 @@ impl PipelineSession {
         // --- Stage 4: fusion of stragglers + multilayer analysis. ---
         let analysis_stage = telemetry.span("stage.analysis");
         sequencer.fuse_ready(true);
-        if sequencer.pool_panicked {
-            return Err(DiEventError::PoolWorkerPanicked);
-        }
         // Publish the pool activity this session caused. The counters
         // are process-monotonic, so the delta from open is reported
         // (shared-global-pool sessions running concurrently overlap);
@@ -1658,7 +1613,6 @@ mod tests {
             2,
             vec![Iso3::IDENTITY; 2],
             quick_config(),
-            ThreadPool::new(1),
             Arc::clone(&vitals),
             LineageTracer::disabled(),
             rx,

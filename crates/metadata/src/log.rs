@@ -3,12 +3,11 @@
 //! Every mutation of the repository is appended as one JSON line; a
 //! repository is recovered by replaying the log in order. JSON-lines
 //! keeps the on-disk format inspectable with standard tools, which
-//! suits a research repository better than a binary format. Writes are
-//! buffered through a [`bytes::BytesMut`] builder and flushed per
-//! append, so a crash loses at most the entry being written.
+//! suits a research repository better than a binary format. Each
+//! append is written as one line and flushed, so a crash loses at most
+//! the entry being written.
 
 use crate::record::{MetaRecord, RecordId};
-use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
@@ -28,7 +27,6 @@ pub enum LogEntry {
 pub struct MetadataLog {
     path: PathBuf,
     file: File,
-    buf: BytesMut,
 }
 
 impl MetadataLog {
@@ -36,11 +34,7 @@ impl MetadataLog {
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_owned();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(MetadataLog {
-            path,
-            file,
-            buf: BytesMut::with_capacity(4096),
-        })
+        Ok(MetadataLog { path, file })
     }
 
     /// The log's path.
@@ -50,13 +44,10 @@ impl MetadataLog {
 
     /// Appends one entry and flushes it.
     pub fn append(&mut self, entry: &LogEntry) -> io::Result<()> {
-        let json =
+        let mut line =
             serde_json::to_vec(entry).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        self.buf.clear();
-        self.buf.reserve(json.len() + 1);
-        self.buf.put_slice(&json);
-        self.buf.put_u8(b'\n');
-        self.file.write_all(&self.buf)?;
+        line.push(b'\n');
+        self.file.write_all(&line)?;
         self.file.flush()
     }
 
@@ -68,12 +59,12 @@ impl MetadataLog {
         let tmp = path.with_extension("compact-tmp");
         {
             let mut f = File::create(&tmp)?;
-            let mut buf = BytesMut::with_capacity(64 * 1024);
+            let mut buf = Vec::with_capacity(64 * 1024);
             for e in entries {
                 let json = serde_json::to_vec(e)
                     .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
-                buf.put_slice(&json);
-                buf.put_u8(b'\n');
+                buf.extend_from_slice(&json);
+                buf.push(b'\n');
                 if buf.len() >= 60 * 1024 {
                     f.write_all(&buf)?;
                     buf.clear();

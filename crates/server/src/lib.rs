@@ -16,9 +16,9 @@
 //!   are sized from one server-wide in-flight budget; `Block` stalls
 //!   only that tenant's connection, `DropOldest` sheds and counts per
 //!   tenant.
-//! * **Fair scheduling** — all tenants share the global work-stealing
-//!   pool, so a hot event competes for worker slots rather than
-//!   monopolizing cores.
+//! * **Fair scheduling** — all tenants share the global thread pool,
+//!   whose one FIFO queue interleaves every tenant's frame chunks, so a
+//!   hot event competes for worker slots rather than monopolizing cores.
 //! * **Observability** — one shared plane; every session metric
 //!   carries a `tenant` label, and `GET /tenants` serves a live
 //!   per-tenant JSON snapshot.

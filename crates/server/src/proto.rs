@@ -755,6 +755,8 @@ fn read_full(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dievent_geometry::Vec3;
+    use proptest::prelude::*;
 
     const NEVER: &dyn Fn() -> bool = &|| false;
 
@@ -917,11 +919,9 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn every_message_kind_round_trips() {
-        let wide = GrayFrame::from_data(2048, 1024, (0..2048 * 1024).map(|i| i as u8).collect())
-            .with_timestamp(Timestamp(1.0 / 3.0));
-        let clients = [
+    /// One small message of every client kind.
+    fn client_samples() -> Vec<ClientMsg> {
+        vec![
             ClientMsg::OpenEvent {
                 event: EventId::new(3),
                 scenario: Scenario::two_camera_dinner(5, 1),
@@ -932,13 +932,6 @@ mod tests {
                 camera: CameraId::new(1),
                 seq: 9,
                 frame: GrayFrame::from_data(3, 2, vec![1, 2, 3, 4, 5, 6]),
-            },
-            // Larger than one read step: the buffer grows as bytes arrive.
-            ClientMsg::Frame {
-                event: EventId::new(3),
-                camera: CameraId::new(0),
-                seq: 10,
-                frame: wide,
             },
             ClientMsg::Frame {
                 event: EventId::new(3),
@@ -952,12 +945,35 @@ mod tests {
                 seq: 0,
                 observations: vec![],
             },
+            ClientMsg::PoseObs {
+                event: EventId::new(3),
+                camera: CameraId::new(1),
+                seq: 4,
+                observations: vec![
+                    CameraObservation {
+                        person: 1,
+                        head_cam: Vec3::new(0.1, -0.25, 2.5),
+                        gaze_cam: Some(Vec3::new(0.0, 0.6, -0.8)),
+                        weight: 1.0,
+                    },
+                    CameraObservation {
+                        person: 0,
+                        head_cam: Vec3::new(-1.0 / 3.0, 0.0, 3.0),
+                        gaze_cam: None,
+                        weight: 0.5,
+                    },
+                ],
+            },
             ClientMsg::FinishEvent {
                 event: EventId::new(3),
             },
             ClientMsg::Drain,
-        ];
-        let servers = [
+        ]
+    }
+
+    /// One message of every server kind.
+    fn server_samples() -> Vec<ServerMsg> {
+        vec![
             ServerMsg::Opened {
                 event: EventId::new(9),
             },
@@ -990,7 +1006,25 @@ mod tests {
                 dropped: 1,
             },
             ServerMsg::Drained { finished: 4 },
-        ];
+        ]
+    }
+
+    #[test]
+    fn every_message_kind_round_trips() {
+        let wide = GrayFrame::from_data(2048, 1024, (0..2048 * 1024).map(|i| i as u8).collect())
+            .with_timestamp(Timestamp(1.0 / 3.0));
+        let mut clients = client_samples();
+        // Larger than one read step: the buffer grows as bytes arrive.
+        clients.insert(
+            2,
+            ClientMsg::Frame {
+                event: EventId::new(3),
+                camera: CameraId::new(0),
+                seq: 10,
+                frame: wide,
+            },
+        );
+        let servers = server_samples();
         let mut wire = Vec::new();
         for msg in &clients {
             msg.write_to(&mut wire).unwrap();
@@ -1072,5 +1106,256 @@ mod tests {
             ClientMsg::read_from(&mut [].as_slice(), NEVER),
             Ok(None)
         ));
+    }
+
+    /// The wire encoding of every sample message, clients first.
+    fn sample_wires() -> &'static [Vec<u8>] {
+        static WIRES: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        WIRES.get_or_init(|| {
+            let mut wires = Vec::new();
+            for msg in client_samples() {
+                let mut wire = Vec::new();
+                msg.write_to(&mut wire).unwrap();
+                wires.push(wire);
+            }
+            for msg in server_samples() {
+                let mut wire = Vec::new();
+                msg.write_to(&mut wire).unwrap();
+                wires.push(wire);
+            }
+            wires
+        })
+    }
+
+    /// Runs both decoders over `wire` until end-of-stream or the first
+    /// error. Every outcome is `Ok(Some(_))`, `Ok(None)` or a typed
+    /// `ProtoError`; returning at all is the property, since a decoder
+    /// panic fails the test.
+    fn decode_everything(wire: &[u8]) {
+        let mut r = wire;
+        while let Ok(Some(_)) = ClientMsg::read_from(&mut r, NEVER) {}
+        let mut r = wire;
+        while let Ok(Some(_)) = ServerMsg::read_from(&mut r, NEVER) {}
+    }
+
+    /// One damage applied to an encoded message.
+    #[derive(Debug, Clone)]
+    enum Mutation {
+        /// Cut the stream at this offset (modulo its length).
+        Truncate(usize),
+        /// XOR one byte (offset modulo the length) with a non-zero mask.
+        Flip(usize, u8),
+        /// Replace the length prefix.
+        SetPrefix(u32),
+        /// Move the length prefix by a small signed amount.
+        NudgePrefix(i64),
+    }
+
+    fn mutation() -> impl Strategy<Value = Mutation> {
+        prop_oneof![
+            proptest::num::usize::ANY.prop_map(Mutation::Truncate),
+            (proptest::num::usize::ANY, 1u8..=255).prop_map(|(at, mask)| Mutation::Flip(at, mask)),
+            proptest::num::u32::ANY.prop_map(Mutation::SetPrefix),
+            (-64i64..64).prop_map(Mutation::NudgePrefix),
+        ]
+    }
+
+    fn apply(mut wire: Vec<u8>, mutation: &Mutation) -> Vec<u8> {
+        let n = wire.len();
+        match *mutation {
+            Mutation::Truncate(at) => wire.truncate(at % n),
+            Mutation::Flip(at, mask) => wire[at % n] ^= mask,
+            Mutation::SetPrefix(len) => wire[..4].copy_from_slice(&len.to_be_bytes()),
+            Mutation::NudgePrefix(delta) => {
+                let len = u32::from_be_bytes(sub4(&wire, 0)) as i64 + delta;
+                let len = len.clamp(0, u32::MAX as i64) as u32;
+                wire[..4].copy_from_slice(&len.to_be_bytes());
+            }
+        }
+        wire
+    }
+
+    /// Any tag, weighted toward the real ones, so garbage bodies reach
+    /// every body decoder.
+    fn tag() -> impl Strategy<Value = u8> {
+        prop_oneof![
+            3 => prop_oneof![
+                Just(TAG_OPEN),
+                Just(TAG_FRAME),
+                Just(TAG_POSE),
+                Just(TAG_FINISH),
+                Just(TAG_DRAIN),
+                Just(TAG_OPENED),
+                Just(TAG_REJECTED),
+                Just(TAG_FINISHED),
+                Just(TAG_DRAINED),
+            ],
+            1 => proptest::num::u8::ANY,
+        ]
+    }
+
+    fn finite() -> impl Strategy<Value = f64> {
+        -1.0e9..1.0e9f64
+    }
+
+    fn vec3() -> impl Strategy<Value = Vec3> {
+        (finite(), finite(), finite()).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+    }
+
+    /// Random ingest and control messages whose fields all survive the
+    /// wire (floats finite, since JSON has no NaN).
+    fn client_msg() -> impl Strategy<Value = ClientMsg> {
+        let frame = (
+            proptest::num::u64::ANY,
+            0u32..64,
+            proptest::num::u64::ANY,
+            (0u32..9, 0u32..9),
+            finite(),
+            proptest::collection::vec(proptest::num::u8::ANY, 64),
+        )
+            .prop_map(
+                |(event, camera, seq, (w, h), ts, pixels)| ClientMsg::Frame {
+                    event: EventId::new(event),
+                    camera: CameraId::new(camera as usize),
+                    seq,
+                    frame: GrayFrame::from_data(w, h, pixels[..(w * h) as usize].to_vec())
+                        .with_timestamp(Timestamp(ts)),
+                },
+            );
+        let observation = (
+            0usize..16,
+            vec3(),
+            proptest::option::of(vec3()),
+            0.0..1.0f64,
+        )
+            .prop_map(|(person, head_cam, gaze_cam, weight)| CameraObservation {
+                person,
+                head_cam,
+                gaze_cam,
+                weight,
+            });
+        let pose = (
+            proptest::num::u64::ANY,
+            0u32..64,
+            proptest::num::u64::ANY,
+            proptest::collection::vec(observation, 0..5),
+        )
+            .prop_map(|(event, camera, seq, observations)| ClientMsg::PoseObs {
+                event: EventId::new(event),
+                camera: CameraId::new(camera as usize),
+                seq,
+                observations,
+            });
+        let finish = proptest::num::u64::ANY.prop_map(|event| ClientMsg::FinishEvent {
+            event: EventId::new(event),
+        });
+        prop_oneof![frame, pose, finish, Just(ClientMsg::Drain)]
+    }
+
+    fn server_msg() -> impl Strategy<Value = ServerMsg> {
+        let text = proptest::collection::vec(
+            prop_oneof![
+                3 => (0x20u32..0x7f).prop_filter_map("ascii", char::from_u32),
+                1 => (0u32..0x11_0000).prop_filter_map("scalar value", char::from_u32),
+            ],
+            0..24,
+        )
+        .prop_map(|chars| chars.into_iter().collect::<String>());
+        let codes = [
+            RejectCode::QuotaExhausted,
+            RejectCode::Draining,
+            RejectCode::DuplicateEvent,
+            RejectCode::InvalidConfig,
+            RejectCode::UnknownEvent,
+            RejectCode::BadSeq,
+            RejectCode::ServerBusy,
+            RejectCode::Malformed,
+            RejectCode::Internal,
+        ];
+        let ops = [
+            RejectOp::Open,
+            RejectOp::Ingest,
+            RejectOp::Finish,
+            RejectOp::Connection,
+        ];
+        let rejected = (
+            proptest::option::of(proptest::num::u64::ANY),
+            0usize..ops.len(),
+            0usize..codes.len(),
+            text,
+        )
+            .prop_map(move |(event, op, code, message)| ServerMsg::Rejected {
+                event: event.map(EventId::new),
+                op: ops[op],
+                code: codes[code],
+                message,
+            });
+        let opened = proptest::num::u64::ANY.prop_map(|event| ServerMsg::Opened {
+            event: EventId::new(event),
+        });
+        let drained = proptest::num::u64::ANY.prop_map(|finished| ServerMsg::Drained { finished });
+        prop_oneof![opened, rejected, drained]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoders(
+            bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..256)
+        ) {
+            decode_everything(&bytes);
+        }
+
+        #[test]
+        fn garbage_bodies_never_panic_the_decoders(
+            tag in tag(),
+            body in proptest::collection::vec(proptest::num::u8::ANY, 0..160)
+        ) {
+            let mut wire = (body.len() as u32).to_be_bytes().to_vec();
+            wire.push(tag);
+            wire.extend_from_slice(&body);
+            decode_everything(&wire);
+        }
+
+        #[test]
+        fn mutated_encodings_never_panic_the_decoders(
+            which in 0usize..11,
+            damage in proptest::collection::vec(mutation(), 1..4)
+        ) {
+            let wires = sample_wires();
+            // A mutated message followed by an intact one, so a decoder
+            // that lost its framing keeps reading.
+            let mut wire = wires[which % wires.len()].clone();
+            for m in &damage {
+                if wire.len() < 5 {
+                    break;
+                }
+                wire = apply(wire, m);
+            }
+            wire.extend_from_slice(&wires[(which + 1) % wires.len()]);
+            decode_everything(&wire);
+        }
+
+        #[test]
+        fn unmutated_encodings_decode_to_the_same_message(
+            client in client_msg(),
+            server in server_msg()
+        ) {
+            let mut wire = Vec::new();
+            client.write_to(&mut wire).unwrap();
+            let decoded = ClientMsg::read_from(&mut wire.as_slice(), NEVER);
+            prop_assert!(
+                matches!(&decoded, Ok(Some(msg)) if *msg == client),
+                "{client:?} decoded as {decoded:?}"
+            );
+            let mut wire = Vec::new();
+            server.write_to(&mut wire).unwrap();
+            let decoded = ServerMsg::read_from(&mut wire.as_slice(), NEVER);
+            prop_assert!(
+                matches!(&decoded, Ok(Some(msg)) if *msg == server),
+                "{server:?} decoded as {decoded:?}"
+            );
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! [`ServerConfig::max_connections`].
 //!
 //! Fairness: every tenant's heavy compute runs on the single shared
-//! work-stealing pool (`pool_threads: 0` is forced per tenant), so a
+//! thread pool (`pool_threads: 0` is forced per tenant), so a
 //! hot event competes for worker slots instead of spawning its own
 //! unbounded threads, and each tenant's ingest is bounded by its own
 //! derived queue capacity — a stalled or flooding tenant blocks (or

@@ -4,7 +4,7 @@
 //!
 //! The registry's counters are monotonic, so two snapshots taken at
 //! different times diff into a *windowed* view: frames/s per camera,
-//! drops/s, steal rate, and per-window latency quantiles (from
+//! drops/s, pool tasks/s, and per-window latency quantiles (from
 //! histogram bucket deltas) — the things a final-report average hides.
 //! Windows land in a bounded ring, served over HTTP by the plane's
 //! embedded exporter and attached to the final report as a trajectory.

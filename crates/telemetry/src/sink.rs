@@ -233,10 +233,9 @@ fn help_for(base: &str) -> Option<&'static str> {
         "session.uptime_s" => "Seconds since the streaming session opened",
         "session.watermark_frame" => "Lowest frame index not yet fused (sequencer frontier)",
         "session.camera_alive" => "1 while the camera's worker thread is running, else 0",
-        "pool.tasks" => "Tasks executed by the work-stealing pool for this domain",
-        "pool.steals" => "Pool tasks taken from a sibling worker's deque",
+        "pool.tasks" => "Tasks executed by the thread pool for this domain",
         "pool.threads" => "Worker threads in the active pool",
-        "pool.queue_depth" => "Tasks queued in the pool (injector + worker deques)",
+        "pool.queue_depth" => "Tasks queued in the pool and not yet picked up",
         "observe.requests" => "HTTP requests served by the live observability plane",
         "observe.samples" => "Snapshot windows taken by the live sampler",
         "participants" => "Participants in the analyzed scenario",

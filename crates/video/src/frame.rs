@@ -6,9 +6,9 @@
 //! [`RgbFrame`] exists for rendering color-coded participants and is
 //! convertible via [`RgbFrame::to_gray`].
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Number of bins used by luminance histograms throughout the crate.
 pub const HISTOGRAM_BINS: usize = 64;
@@ -37,18 +37,30 @@ impl fmt::Display for Timestamp {
 
 /// An 8-bit grayscale frame.
 ///
-/// Pixel data is stored row-major in a cheaply-clonable [`Bytes`] buffer:
-/// frames flow through several pipeline stages (parsing, detection,
-/// feature extraction) and sharing the underlying allocation keeps that
-/// free of copies. Mutation happens through the builder-style raster
+/// Pixel data is stored row-major in a reference-counted buffer: frames
+/// flow through several pipeline stages (parsing, detection, feature
+/// extraction) and sharing the underlying allocation keeps that free of
+/// copies. [`from_data`](Self::from_data) takes its `Vec` without
+/// copying it. Mutation happens through the builder-style raster
 /// methods, which take `&mut self` and copy-on-write only when shared.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct GrayFrame {
     width: u32,
     height: u32,
     /// Capture time.
     pub timestamp: Timestamp,
-    data: Bytes,
+    data: Arc<Vec<u8>>,
+}
+
+impl fmt::Debug for GrayFrame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GrayFrame")
+            .field("width", &self.width)
+            .field("height", &self.height)
+            .field("timestamp", &self.timestamp)
+            .field("data", &format_args!("{} bytes", self.data.len()))
+            .finish()
+    }
 }
 
 impl GrayFrame {
@@ -58,11 +70,12 @@ impl GrayFrame {
             width,
             height,
             timestamp: Timestamp::default(),
-            data: Bytes::from(vec![fill; (width * height) as usize]),
+            data: Arc::new(vec![fill; (width * height) as usize]),
         }
     }
 
-    /// Creates a frame from raw row-major pixel data.
+    /// Creates a frame from raw row-major pixel data, keeping `data`'s
+    /// buffer (no copy).
     ///
     /// # Panics
     /// Panics when `data.len() != width * height`.
@@ -76,7 +89,7 @@ impl GrayFrame {
             width,
             height,
             timestamp: Timestamp::default(),
-            data: Bytes::from(data),
+            data: Arc::new(data),
         }
     }
 
@@ -139,11 +152,10 @@ impl GrayFrame {
         self.mutate(|data| data[idx] = value);
     }
 
-    /// Applies a closure to a uniquely-owned copy of the pixel buffer.
+    /// Applies a closure to the pixel buffer, copying it first only
+    /// when another frame shares it.
     pub fn mutate(&mut self, f: impl FnOnce(&mut [u8])) {
-        let mut vec = std::mem::take(&mut self.data).to_vec();
-        f(&mut vec);
-        self.data = Bytes::from(vec);
+        f(Arc::make_mut(&mut self.data).as_mut_slice());
     }
 
     /// Fills the whole frame with `value`.
@@ -589,11 +601,31 @@ mod tests {
 
     #[test]
     fn clone_shares_then_diverges_on_write() {
-        let mut a = GrayFrame::new(6, 6, 10);
+        let pixels = vec![10u8; 36];
+        let ptr = pixels.as_ptr();
+        let mut a = GrayFrame::from_data(6, 6, pixels);
+        assert_eq!(a.data().as_ptr(), ptr, "from_data keeps the Vec's buffer");
+        a.set(1, 1, 50);
+        assert_eq!(a.data().as_ptr(), ptr, "an unshared frame mutates in place");
         let b = a.clone();
         a.set(0, 0, 99);
         assert_eq!(a.get(0, 0), 99);
         assert_eq!(b.get(0, 0), 10, "clone must not observe the write");
+        assert_eq!(b.get(1, 1), 50);
+        assert_eq!(
+            b.data().as_ptr(),
+            ptr,
+            "the untouched clone keeps the buffer"
+        );
+    }
+
+    #[test]
+    fn debug_prints_the_size_not_the_pixels() {
+        let frame = GrayFrame::from_data(4, 3, vec![7; 12]);
+        assert_eq!(
+            format!("{frame:?}"),
+            "GrayFrame { width: 4, height: 3, timestamp: Timestamp(0.0), data: 12 bytes }"
+        );
     }
 
     #[test]

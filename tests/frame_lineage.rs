@@ -39,10 +39,10 @@ fn traced_config() -> PipelineConfig {
     PipelineConfig::builder()
         .classify_emotions(false)
         .parse_video(false)
+        // Every run here is shorter than the lineage reservoir (256
+        // waterfalls), so it keeps *every* waterfall and the
+        // exactly-once property is checkable.
         .trace_lineage(true)
-        // Large enough that the reservoir keeps *every* waterfall, so
-        // the exactly-once property is checkable.
-        .lineage_reservoir(4096)
         .build()
         .expect("valid config")
 }

@@ -1,12 +1,12 @@
 //! Determinism of the session's execution path: the camera lanes and the
-//! work-stealing pool may reorder *when* per-frame work runs, but never
-//! *what* it computes.
+//! thread pool may reorder *when* per-frame work runs, but never *what*
+//! it computes.
 //!
 //! The contract under test is the one the whole perf story rests on:
 //! stage-3 extraction is split into a pure phase (fanned across the
-//! pool as frame chunks) and a stateful phase (integrated in frame
-//! order), and stage-4 fusion computes frames into positional slots —
-//! so a run on a wide pool must be **bit-identical** to the most serial
+//! pool as frame chunks, placed by position) and a stateful phase
+//! (integrated in frame order), and stage-4 fusion runs in frame order
+//! on the thread that pushes or polls — so a run on a wide pool must be **bit-identical** to the most serial
 //! configuration (a one-worker pool behind one-slot camera queues), on
 //! every output surface of [`EventAnalysis`], and both must reproduce
 //! the outputs pinned below.
@@ -161,7 +161,7 @@ fn private_pool_equals_global_pool() {
 }
 
 /// A run publishes its pool activity into the telemetry report
-/// (`pool.tasks`, `pool.steals`, `pool.threads`, `pool.queue_depth`).
+/// (`pool.tasks`, `pool.threads`, `pool.queue_depth`).
 #[test]
 fn pool_telemetry_is_published() {
     let recording = Recording::capture(Scenario::two_camera_dinner(16, 3));
@@ -176,5 +176,4 @@ fn pool_telemetry_is_published() {
     );
     let has = |a: &EventAnalysis, name: &str| a.telemetry.counters.iter().any(|c| c.name == name);
     assert!(has(&on, "pool.tasks"), "pool.tasks counter registered");
-    assert!(has(&on, "pool.steals"), "pool.steals counter registered");
 }
