@@ -136,6 +136,22 @@ fn emotion_stack(c: &mut Criterion) {
         })
     });
 
+    // The batch a session classifies per camera frame: the prototype's
+    // four guests.
+    let guests: Vec<GrayFrame> = Emotion::ALL[..4]
+        .iter()
+        .enumerate()
+        .map(|(id, &e)| render_face_patch(e, 225, id, 7, 48))
+        .collect();
+    let guests: Vec<&GrayFrame> = guests.iter().collect();
+    c.bench_function("emotion_classify_four_patches", |b| {
+        b.iter(|| {
+            classifier
+                .classify_batch_with(black_box(&guests), &mut arena)
+                .top(3)
+        })
+    });
+
     let mut group = c.benchmark_group("emotion_training");
     group.sample_size(10);
     group.bench_function("train_small_classifier", |b| {

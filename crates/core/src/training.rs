@@ -209,6 +209,67 @@ mod tests {
         );
     }
 
+    /// Member `key` of a JSON object, for editing.
+    fn member<'v>(v: &'v mut serde_json::Value, key: &str) -> &'v mut serde_json::Value {
+        match v {
+            serde_json::Value::Object(m) => m.get_mut(key).expect("the member exists"),
+            other => panic!("{key}: expected an object, got {}", other.kind_name()),
+        }
+    }
+
+    /// The items of a JSON array, for editing.
+    fn items(v: &mut serde_json::Value) -> &mut Vec<serde_json::Value> {
+        match v {
+            serde_json::Value::Array(a) => a,
+            other => panic!("expected an array, got {}", other.kind_name()),
+        }
+    }
+
+    /// Layer `i` of the serialized classifier's MLP.
+    fn layer(v: &mut serde_json::Value, i: usize) -> &mut serde_json::Value {
+        &mut items(member(member(v, "mlp"), "layers"))[i]
+    }
+
+    #[test]
+    fn malformed_models_are_refused_at_load() {
+        // Before these checks, each model below loaded; four then
+        // panicked on their first classify and one classified silently.
+        type Mutation = fn(&mut serde_json::Value);
+        let mutations: [(Mutation, &str); 5] = [
+            (
+                |v| drop(items(member(layer(v, 0), "w")).pop()),
+                "48×944 but has 45311 weights",
+            ),
+            (
+                |v| drop(items(member(layer(v, 0), "b")).pop()),
+                "48 rows but 47 biases",
+            ),
+            (
+                |v| *member(layer(v, 1), "cols") = serde_json::json!(47),
+                "7×47 but has 336 weights",
+            ),
+            (
+                |v| *member(member(member(v, "mlp"), "config"), "input") = serde_json::json!(943),
+                "do not chain",
+            ),
+            (
+                |v| drop(items(member(member(v, "normalizer"), "mean")).pop()),
+                "943 means and 944 inverse deviations",
+            ),
+        ];
+        let model: serde_json::Value =
+            serde_json::from_str(DEFAULT_CLASSIFIER_JSON).expect("the artifact parses");
+        assert!(serde_json::from_value::<EmotionClassifier>(model.clone()).is_ok());
+        for (mutate, expect) in mutations {
+            let mut v = model.clone();
+            mutate(&mut v);
+            let err = serde_json::from_value::<EmotionClassifier>(v)
+                .expect_err(expect)
+                .to_string();
+            assert!(err.contains(expect), "expected {expect:?}, got {err:?}");
+        }
+    }
+
     #[test]
     fn embedded_default_model_matches_training() {
         let (trained, _) =

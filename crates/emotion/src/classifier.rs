@@ -6,8 +6,8 @@
 
 use crate::dataset::{ConfusionMatrix, Dataset, Normalizer};
 use crate::label::Emotion;
-use crate::lbp::{lbp_feature_vector_with, LbpConfig, LbpScratch};
-use crate::mlp::{argmax, Mlp, MlpBatchScratch, MlpConfig, MlpScratch, TrainingConfig};
+use crate::lbp::{lbp_feature_vector_with, LbpConfig, LbpScratch, UNIFORM_BINS};
+use crate::mlp::{argmax, member, Mlp, MlpBatchScratch, MlpConfig, TrainingConfig};
 use dievent_video::GrayFrame;
 use serde::{Deserialize, Serialize};
 
@@ -26,11 +26,47 @@ pub struct TrainReport {
 pub const MIN_TRAINING_PATCHES: usize = 10;
 
 /// LBP + MLP emotion classifier over face patches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A deserialized classifier is checked: the LBP descriptor's length,
+/// the normalizer's and the MLP's input agree, and the MLP has one
+/// output per [`Emotion`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EmotionClassifier {
     lbp: LbpConfig,
     normalizer: Normalizer,
     mlp: Mlp,
+}
+
+impl Deserialize for EmotionClassifier {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        const NAME: &str = "EmotionClassifier";
+        let clf = EmotionClassifier {
+            lbp: member(value, NAME, "lbp")?,
+            normalizer: member(value, NAME, "normalizer")?,
+            mlp: member(value, NAME, "mlp")?,
+        };
+        let (grid, config) = (clf.lbp.grid.max(1), clf.mlp.config());
+        let bins = grid
+            .checked_mul(grid)
+            .and_then(|cells| cells.checked_mul(UNIFORM_BINS));
+        if bins != Some(config.input) {
+            return Err(serde::Error::custom(format!(
+                "{NAME}: a {grid}×{grid} LBP grid does not give the MLP's {} inputs",
+                config.input
+            )));
+        }
+        clf.normalizer
+            .check_dim(config.input)
+            .map_err(|e| serde::Error::custom(format!("{NAME}.normalizer: {e}")))?;
+        if config.output != Emotion::COUNT {
+            return Err(serde::Error::custom(format!(
+                "{NAME}: the MLP has {} outputs, not one per emotion ({})",
+                config.output,
+                Emotion::COUNT
+            )));
+        }
+        Ok(clf)
+    }
 }
 
 impl EmotionClassifier {
@@ -77,9 +113,10 @@ impl EmotionClassifier {
         // One sample at a time: packing the held-out split for the
         // batched pass would allocate a second copy of it.
         let mut confusion = ConfusionMatrix::new(Emotion::COUNT);
-        let mut mlp_scratch = MlpScratch::new();
+        let mut mlp_scratch = MlpBatchScratch::new();
         for (f, &l) in test.features.iter().zip(&test.labels) {
-            confusion.record(l, argmax(mlp.predict_proba_with(f, &mut mlp_scratch)));
+            let probs = mlp.predict_proba_batch_with(1, f, &mut mlp_scratch);
+            confusion.record(l, argmax(probs));
         }
         let report = TrainReport {
             epoch_losses,
@@ -104,10 +141,10 @@ impl EmotionClassifier {
     ///
     /// Per face, bit-identical to the kernel oracles chained one face at
     /// a time — [`lbp_feature_vector_reference`](crate::lbp_feature_vector_reference),
-    /// [`Normalizer::apply_extend`], then [`Mlp::predict_proba_with`] —
-    /// because every batched kernel keeps its oracle's operation order
-    /// per sample (asserted by `tests/property_kernels.rs` and this
-    /// module's tests). In steady state (arena buffers grown to the
+    /// [`Normalizer::apply_extend`], then the row-major MLP of
+    /// `tests/support/oracle.rs` — because every kernel keeps its
+    /// oracle's operation order per sample (asserted by
+    /// `tests/property_kernels.rs` and this module's tests). In steady state (arena buffers grown to the
     /// largest frame seen) this path performs zero heap allocation
     /// (asserted by `tests/alloc_steady_state.rs`).
     pub fn classify_batch_with<'s>(
@@ -131,10 +168,10 @@ impl EmotionClassifier {
     }
 }
 
-/// Per-worker arena for the batched extract path: LBP bin image, raw
-/// descriptor, packed normalized features, and the batched MLP's
-/// ping-pong activation planes — all reused across every frame the
-/// worker processes. Buffers grow to the largest frame seen and are
+/// Per-worker arena for the batched extract path: the LBP padded patch
+/// and bin image, raw descriptor, packed normalized features, and the
+/// batched MLP's ping-pong activation planes — all reused across every
+/// frame the worker processes. Buffers grow to the largest frame seen and are
 /// never shrunk, so the steady-state extract path allocates nothing.
 #[derive(Debug, Default, Clone)]
 pub struct ExtractArena {
@@ -203,6 +240,7 @@ impl<'a> BatchPredictions<'a> {
 mod tests {
     use super::*;
     use crate::lbp::lbp_feature_vector_reference;
+    use crate::oracle::bits;
 
     /// Synthetic "expression" patches: each emotion gets a distinct
     /// mouth/eye texture layout, plus deterministic per-sample jitter.
@@ -330,12 +368,12 @@ mod tests {
     #[test]
     fn classify_batch_matches_classify_with() {
         // The batched path against the three kernel oracles chained one
-        // face at a time: reference LBP, normalizer, scalar MLP.
+        // face at a time: reference LBP, normalizer, row-major MLP.
         let clf = small_classifier();
+        let model = serde_json::to_value(&clf.mlp).unwrap();
         let frames: Vec<GrayFrame> = Emotion::ALL.iter().map(|&e| sketch(e, 77)).collect();
         let refs: Vec<&GrayFrame> = frames.iter().collect();
         let mut arena = ExtractArena::new();
-        let mut mlp_scratch = MlpScratch::new();
         // Twice through the same arena: reuse must not change any bit.
         for _ in 0..2 {
             let batch = clf.classify_batch_with(&refs, &mut arena);
@@ -344,8 +382,12 @@ mod tests {
                 let raw = lbp_feature_vector_reference(frame, &clf.lbp);
                 let mut x = Vec::new();
                 clf.normalizer.apply_extend(&raw, &mut x);
-                let oracle = clf.mlp.predict_proba_with(&x, &mut mlp_scratch);
-                assert_eq!(batch.probabilities(i), oracle, "face {i} must match");
+                let oracle = &crate::oracle::mlp_proba(&model, &x)[..];
+                assert_eq!(
+                    bits(batch.probabilities(i)),
+                    bits(oracle),
+                    "face {i} must match"
+                );
                 let best = argmax(oracle);
                 assert_eq!(
                     batch.top(i),

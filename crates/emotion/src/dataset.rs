@@ -146,6 +146,18 @@ impl Normalizer {
         );
     }
 
+    /// Checks that the normalizer transforms `dim`-long samples.
+    pub(crate) fn check_dim(&self, dim: usize) -> Result<(), String> {
+        let (m, s) = (self.mean.len(), self.inv_std.len());
+        if m == dim && s == dim {
+            Ok(())
+        } else {
+            Err(format!(
+                "{m} means and {s} inverse deviations for {dim}-long samples"
+            ))
+        }
+    }
+
     /// Applies the transform to every sample of a dataset.
     ///
     /// # Panics

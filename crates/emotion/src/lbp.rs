@@ -78,8 +78,9 @@ fn uniform_table() -> &'static [u8; 256] {
     &UNIFORM_TABLE
 }
 
-/// Reusable buffers for the vectorized LBP kernel: the per-patch
-/// uniform-bin image and one row of centre+threshold values.
+/// Reusable buffers for the LBP kernel: the edge-replicated patch, the
+/// per-patch uniform-bin image and one row of `centre + threshold`
+/// values.
 ///
 /// One scratch per worker, reused across every patch it processes —
 /// buffers grow to the largest patch seen and are never shrunk, so the
@@ -87,13 +88,14 @@ fn uniform_table() -> &'static [u8; 256] {
 /// by `tests/alloc_steady_state.rs`).
 #[derive(Debug, Default, Clone)]
 pub struct LbpScratch {
+    /// The current patch with a one-pixel border that repeats its edge,
+    /// row-major `(w+2) × (h+2)`.
+    padded: Vec<u8>,
     /// Per-pixel uniform-LBP bin (`0..59`) of the current patch,
     /// row-major `w × h`.
     bins: Vec<u8>,
-    /// One row of `centre + threshold` comparison values (`i16` lanes:
-    /// `255 + 255 = 510` must not wrap, and the compare kernel needs a
-    /// signed subtraction).
-    centers: Vec<i16>,
+    /// One row of `centre + threshold`, saturated at 255.
+    centers: Vec<u8>,
 }
 
 impl LbpScratch {
@@ -104,7 +106,9 @@ impl LbpScratch {
 }
 
 /// Raw LBP code of the pixel at `(x, y)` (clamp-to-edge at borders),
-/// with comparison threshold `t` (see [`LbpConfig::threshold`]).
+/// with comparison threshold `t` (see [`LbpConfig::threshold`]). Only
+/// the oracle [`lbp_feature_vector_reference`] computes codes one pixel
+/// at a time.
 ///
 /// Bit `i` corresponds to the `i`-th neighbour clockwise from the top-left.
 fn lbp_code(frame: &GrayFrame, x: i64, y: i64, t: u8) -> u8 {
@@ -128,84 +132,76 @@ fn lbp_code(frame: &GrayFrame, x: i64, y: i64, t: u8) -> u8 {
     code
 }
 
-/// One branchless comparison pass: for every interior column, compare
-/// the neighbour row (pre-shifted so index `i` is the neighbour of
-/// centre `i`) against the centre row and OR the result into bit
-/// `bit` of the code. The comparison is pure `i16` arithmetic — the
-/// sign bit of `n - center` is the (negated) comparison result, so the
-/// loop body is lane-wise subtract/shift/mask/or over three
-/// equal-length slices, exactly the shape the autovectorizer turns
-/// into `i16`-lane SIMD. Exact because both operands fit `i16`:
-/// `n ≤ 255` and `center = centre_px + threshold ≤ 510`, so
-/// `n ≥ center` ⟺ `n - center ≥ 0` ⟺ the sign bit is clear.
+/// One branchless comparison pass over a row: lane `i` compares the
+/// neighbour row (pre-shifted so index `i` is the neighbour of centre
+/// `i`) against `centers[i]` and ORs the result into bit `bit` of the
+/// code. Three equal-length `u8` slices, so the loop autovectorizes to
+/// 16-lane byte compares.
 #[inline]
-fn compare_pass(codes: &mut [u8], neighbours: &[u8], centers: &[i16], bit: u8) {
+fn compare_pass(codes: &mut [u8], neighbours: &[u8], centers: &[u8], bit: u8) {
     for ((code, &n), &center) in codes.iter_mut().zip(neighbours).zip(centers) {
-        let diff = (n as i16).wrapping_sub(center);
-        *code |= (!(diff >> 15) as u8 & 1) << bit;
+        *code |= u8::from(n >= center) << bit;
     }
 }
 
 /// Fills `scratch.bins` with the uniform-LBP bin of every pixel.
 ///
-/// Interior pixels (`1 ≤ x ≤ w-2`, `1 ≤ y ≤ h-2`) are produced by
-/// eight whole-row [`compare_pass`]es — one per neighbour, each a
-/// branchless slice operation over pre-shifted neighbour rows — then a
-/// single in-place remap through the const uniform table. The 1-pixel
-/// border (and any patch thinner than 3 px) falls back to the clamped
-/// [`lbp_code`], so both paths produce identical codes by construction
-/// (same neighbour order, same `u16` threshold comparison).
+/// The patch is first copied into `scratch.padded` with its edge
+/// repeated one pixel out, which is exactly the clamp-to-edge of
+/// [`lbp_code`]; then every row of the patch, borders included, takes
+/// eight whole-row [`compare_pass`]es, one per neighbour, and a remap
+/// through the const uniform table.
+///
+/// The compares run on `u8` against `centre + t` saturated at 255. Where
+/// `centre + t` exceeds 255 no neighbour can reach it, so the true code
+/// is 0 and the remap clears whatever the saturated compares set.
 fn fill_bin_image(frame: &GrayFrame, t: u8, scratch: &mut LbpScratch) {
     let table = uniform_table();
     let w = frame.width() as usize;
     let h = frame.height() as usize;
-    let data = frame.data();
-    let tc = t as i16;
     scratch.bins.clear();
     scratch.bins.resize(w * h, 0);
-    if w < 3 || h < 3 {
-        // Degenerate shapes (1×1, 1×N, N×1, 2-px strips) have no
-        // interior: every pixel needs clamping.
-        for y in 0..h {
-            for x in 0..w {
-                scratch.bins[y * w + x] = table[lbp_code(frame, x as i64, y as i64, t) as usize];
-            }
-        }
+    if w == 0 || h == 0 {
         return;
+    }
+    let data = frame.data();
+    let pw = w + 2;
+    scratch.padded.clear();
+    for y in 0..h + 2 {
+        let row = &data[y.saturating_sub(1).min(h - 1) * w..][..w];
+        scratch.padded.push(row[0]);
+        scratch.padded.extend_from_slice(row);
+        scratch.padded.push(row[w - 1]);
     }
     scratch.centers.clear();
     scratch.centers.resize(w, 0);
-    for x in 0..w {
-        scratch.bins[x] = table[lbp_code(frame, x as i64, 0, t) as usize];
-        scratch.bins[(h - 1) * w + x] =
-            table[lbp_code(frame, x as i64, (h - 1) as i64, t) as usize];
-    }
-    for y in 1..h - 1 {
-        let up = &data[(y - 1) * w..y * w];
-        let mid = &data[y * w..(y + 1) * w];
-        let down = &data[(y + 1) * w..(y + 2) * w];
-        for (center, &m) in scratch.centers.iter_mut().zip(mid) {
-            *center = m as i16 + tc;
+    let limit = 255 - t;
+    for (y, codes) in scratch.bins.chunks_exact_mut(w).enumerate() {
+        let up = &scratch.padded[y * pw..][..pw];
+        let mid = &scratch.padded[(y + 1) * pw..][..pw];
+        let down = &scratch.padded[(y + 2) * pw..][..pw];
+        for (center, &m) in scratch.centers.iter_mut().zip(&mid[1..=w]) {
+            *center = m.saturating_add(t);
         }
-        let row = &mut scratch.bins[y * w..(y + 1) * w];
-        row[0] = table[lbp_code(frame, 0, y as i64, t) as usize];
-        row[w - 1] = table[lbp_code(frame, (w - 1) as i64, y as i64, t) as usize];
-        let codes = &mut row[1..w - 1];
-        let centers = &scratch.centers[1..w - 1];
+        let centers = &scratch.centers[..];
         // Neighbour order matches `lbp_code`'s OFFSETS: clockwise from
         // the top-left. Each pass reads the neighbour row shifted by
         // the neighbour's dx, so lane `i` always compares against
         // centre `i`.
-        compare_pass(codes, &up[..w - 2], centers, 0);
-        compare_pass(codes, &up[1..w - 1], centers, 1);
+        compare_pass(codes, &up[..w], centers, 0);
+        compare_pass(codes, &up[1..=w], centers, 1);
         compare_pass(codes, &up[2..], centers, 2);
         compare_pass(codes, &mid[2..], centers, 3);
         compare_pass(codes, &down[2..], centers, 4);
-        compare_pass(codes, &down[1..w - 1], centers, 5);
-        compare_pass(codes, &down[..w - 2], centers, 6);
-        compare_pass(codes, &mid[..w - 2], centers, 7);
-        for code in codes.iter_mut() {
-            *code = table[*code as usize];
+        compare_pass(codes, &down[1..=w], centers, 5);
+        compare_pass(codes, &down[..w], centers, 6);
+        compare_pass(codes, &mid[..w], centers, 7);
+        for (code, &m) in codes.iter_mut().zip(&mid[1..=w]) {
+            *code = if m > limit {
+                table[0]
+            } else {
+                table[*code as usize]
+            };
         }
     }
 }
@@ -217,7 +213,7 @@ fn fill_bin_image(frame: &GrayFrame, t: u8, scratch: &mut LbpScratch) {
 /// Cells partition the patch as evenly as possible; a patch smaller
 /// than the grid still works (cells smaller than a pixel stay
 /// all-zero). The bin image is computed once into `scratch` by the
-/// vectorized `fill_bin_image` kernel, then each grid cell
+/// edge-padded, row-vectorized `fill_bin_image` kernel, then each grid cell
 /// accumulates integer bin counts over its rectangle and normalizes;
 /// with a reused `feature` and `scratch` the call allocates nothing.
 ///
@@ -351,24 +347,28 @@ mod tests {
 
     #[test]
     fn interior_fast_path_matches_clamped_path() {
-        // Pseudo-random frame: every pixel of the fast-path descriptor
-        // must match the oracle built exclusively from the clamped
-        // per-pixel `lbp_code`.
+        // Pseudo-random frame: every pixel's bin, borders included,
+        // and so the descriptor must match the clamped per-pixel
+        // `lbp_code`, also where `centre + threshold` passes 255.
         let mut f = GrayFrame::new(37, 29, 0);
         f.mutate(|d| {
             for (i, px) in d.iter_mut().enumerate() {
                 *px = ((i as u32).wrapping_mul(2654435761) >> 24) as u8;
             }
         });
-        let cfg = LbpConfig {
-            grid: 4,
-            threshold: 8,
-        };
-        assert_eq!(
-            descriptor(&f, &cfg),
-            lbp_feature_vector_reference(&f, &cfg),
-            "fast path must be bit-identical"
-        );
+        for threshold in [8, 250] {
+            let expect: Vec<u8> = (0..29)
+                .flat_map(|y| (0..37).map(move |x| (x, y)))
+                .map(|(x, y)| uniform_table()[lbp_code(&f, x, y, threshold) as usize])
+                .collect();
+            assert_eq!(bin_image(&f, threshold), expect, "t={threshold}");
+            let cfg = LbpConfig { grid: 4, threshold };
+            assert_eq!(
+                descriptor(&f, &cfg),
+                lbp_feature_vector_reference(&f, &cfg),
+                "fast path must be bit-identical"
+            );
+        }
     }
 
     #[test]

@@ -17,15 +17,19 @@
 //!   LBP → MLP pipeline applied to face patches.
 //!
 //! Each kernel has one production entry point, allocation-free with
-//! reused buffers, and at most one oracle that tests check it against
-//! bit for bit:
+//! reused buffers, and one oracle that tests check it against bit for
+//! bit:
 //!
 //! | Kernel | Production entry point | Oracle |
 //! |---|---|---|
-//! | LBP descriptor | [`lbp_feature_vector_with`] + [`LbpScratch`] | [`lbp_feature_vector_reference`] |
+//! | LBP descriptor | [`lbp_feature_vector_with`] + [`LbpScratch`]: one edge-padded copy of the patch, eight row-wide `u8` compare passes | [`lbp_feature_vector_reference`]: clamped per-pixel codes |
 //! | Normalizer | [`Normalizer::apply_extend`] | — |
-//! | MLP forward | [`Mlp::predict_proba_batch_with`] + [`MlpBatchScratch`] | [`Mlp::predict_proba_with`] + [`MlpScratch`] |
+//! | MLP forward | [`Mlp::predict_proba_batch_with`] + [`MlpBatchScratch`]: weights in 16-row column-major panels, 16 rows per pass (training's forward pass runs the same kernel) | `tests/support/oracle.rs`: a row-major dot product per row, over the serialized model |
 //! | Classifier | [`EmotionClassifier::classify_batch_with`] + [`ExtractArena`] | the three above, chained |
+//!
+//! A deserialized model is checked before it is used: each MLP layer's
+//! shape, the layer chain against the MLP's config, and the LBP,
+//! normalizer and MLP widths against each other.
 //!
 //! The paper used a pretrained model on real faces; here the classifier
 //! is trained on synthetically rendered expression patches (see
@@ -40,10 +44,14 @@ pub mod label;
 pub mod lbp;
 pub mod mlp;
 
+#[cfg(test)]
+#[path = "../tests/support/oracle.rs"]
+mod oracle;
+
 pub use classifier::{
     BatchPredictions, EmotionClassifier, ExtractArena, TrainReport, MIN_TRAINING_PATCHES,
 };
 pub use dataset::{ConfusionMatrix, Dataset, Normalizer};
 pub use label::Emotion;
 pub use lbp::{lbp_feature_vector_reference, lbp_feature_vector_with, LbpConfig, LbpScratch};
-pub use mlp::{Mlp, MlpBatchScratch, MlpConfig, MlpScratch, TrainingConfig};
+pub use mlp::{Mlp, MlpBatchScratch, MlpConfig, TrainingConfig};

@@ -2,7 +2,8 @@
 
 use dievent_emotion::lbp::UNIFORM_BINS;
 use dievent_emotion::{
-    lbp_feature_vector_with, Dataset, LbpConfig, LbpScratch, Mlp, MlpConfig, MlpScratch, Normalizer,
+    lbp_feature_vector_with, Dataset, LbpConfig, LbpScratch, Mlp, MlpBatchScratch, MlpConfig,
+    Normalizer,
 };
 use dievent_video::GrayFrame;
 use proptest::prelude::*;
@@ -74,8 +75,8 @@ proptest! {
         x in proptest::collection::vec(-10.0..10.0f64, 6),
     ) {
         let mlp = Mlp::new(MlpConfig { input: 6, hidden: vec![5], output: 4, seed });
-        let mut scratch = MlpScratch::new();
-        let p = mlp.predict_proba_with(&x, &mut scratch);
+        let mut scratch = MlpBatchScratch::new();
+        let p = mlp.predict_proba_batch_with(1, &x, &mut scratch);
         prop_assert_eq!(p.len(), 4);
         prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         prop_assert!(p.iter().all(|&v| v.is_finite() && v >= 0.0));

@@ -1,12 +1,15 @@
-//! Oracle tests for the vectorized hot kernels: the row-sliced LBP
-//! descriptor against the clamped per-pixel reference, and the batched
-//! MLP forward pass against the scalar scratch path. Every comparison
-//! is exact (`==` on `f64`) — the kernels are required to be
-//! bit-identical, not merely close.
+//! Oracle tests for the vectorized hot kernels: the edge-padded LBP
+//! descriptor against the clamped per-pixel reference, and the
+//! panel-layout MLP forward pass against a row-major dot product per
+//! output row (`support/oracle.rs`). Every comparison is exact — the
+//! kernels are required to be bit-identical, not merely close.
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 use dievent_emotion::{
     lbp_feature_vector_reference, lbp_feature_vector_with, LbpConfig, LbpScratch, Mlp,
-    MlpBatchScratch, MlpConfig, MlpScratch,
+    MlpBatchScratch, MlpConfig,
 };
 use dievent_video::GrayFrame;
 use proptest::prelude::*;
@@ -37,9 +40,9 @@ fn vectorized(f: &GrayFrame, cfg: &LbpConfig) -> Vec<f64> {
     feature
 }
 
-/// The degenerate and non-divisible shapes the row-sliced kernel
-/// special-cases: no interior at all, one interior row/column, and
-/// grids that don't divide the patch evenly.
+/// Degenerate and non-divisible shapes: no interior at all, one
+/// interior row/column, and grids that don't divide the patch evenly;
+/// thresholds that push `centre + threshold` past 255.
 #[test]
 fn edge_shapes_match_reference() {
     for &(w, h) in &[
@@ -54,7 +57,7 @@ fn edge_shapes_match_reference() {
         (48, 48),
     ] {
         for grid in [1usize, 3, 4, 5] {
-            for threshold in [0u8, 8, 255] {
+            for threshold in [0u8, 8, 200, 255] {
                 let f = noisy_frame(w, h, w * 31 + h);
                 let cfg = LbpConfig { grid, threshold };
                 assert_eq!(
@@ -67,8 +70,37 @@ fn edge_shapes_match_reference() {
     }
 }
 
+/// Hidden widths below, at and across the 16-row panel boundaries.
+fn hidden_widths() -> impl Strategy<Value = Vec<usize>> {
+    let width = prop_oneof![
+        Just(1usize),
+        Just(7),
+        Just(15),
+        Just(16),
+        Just(17),
+        Just(32),
+        Just(33),
+        Just(48),
+    ];
+    proptest::collection::vec(width, 0..3)
+}
+
+/// Finite inputs that stress rounding beside ordinary values: signed
+/// zeros, subnormals of either sign, and magnitudes near 1e300.
+fn input_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        4 => -8.0..8.0f64,
+        1 => Just(0.0),
+        1 => Just(-0.0),
+        1 => (1u64..1 << 52).prop_map(f64::from_bits),
+        1 => (1u64..1 << 52).prop_map(|b| -f64::from_bits(b)),
+        1 => (-1.0..1.0f64).prop_map(|m| m * 1e300),
+    ]
+}
+
 proptest! {
-    /// Random frame shapes and contents: the vectorized descriptor is
+    /// Random frame shapes, contents and thresholds (including ones
+    /// where `centre + threshold > 255`): the vectorized descriptor is
     /// bin-for-bin identical to the clamped per-pixel reference.
     #[test]
     fn lbp_kernel_matches_reference(
@@ -76,32 +108,37 @@ proptest! {
         h in 1u32..40,
         salt in 0u32..1000,
         grid in 1usize..6,
-        threshold in prop_oneof![Just(0u8), 1u8..32, Just(255u8)],
+        threshold in prop_oneof![Just(0u8), 1u8..32, 128u8..255, Just(255u8)],
     ) {
         let f = noisy_frame(w, h, salt);
         let cfg = LbpConfig { grid, threshold };
         prop_assert_eq!(vectorized(&f, &cfg), lbp_feature_vector_reference(&f, &cfg));
     }
 
-    /// The batched forward pass is bit-identical to running the scalar
-    /// scratch path once per sample — including linear (no hidden
-    /// layer) networks and batches of one.
+    /// The batched forward pass is bit-identical (`to_bits`, so a
+    /// sign-of-zero difference fails) to the row-major oracle, for
+    /// networks with zero to two hidden layers whose widths cross the
+    /// panel boundaries, input widths 1 to 69, and batches of 0 to 9.
     #[test]
     fn batched_mlp_matches_scalar(
         seed in 0u64..500,
-        samples in 1usize..9,
-        deep in proptest::bool::ANY,
-        xs in proptest::collection::vec(-8.0..8.0f64, 6 * 8),
+        input in 1usize..70,
+        hidden in hidden_widths(),
+        output in prop_oneof![Just(7usize), 1usize..20],
+        samples in 0usize..10,
+        xs in proptest::collection::vec(input_value(), 69 * 9),
     ) {
-        let hidden = if deep { vec![7, 5] } else { vec![] };
-        let mlp = Mlp::new(MlpConfig { input: 6, hidden, output: 4, seed });
-        let flat = &xs[..samples * 6];
+        let mlp = Mlp::new(MlpConfig { input, hidden, output, seed });
+        let model = serde_json::to_value(&mlp).unwrap();
+        let flat = &xs[..samples * input];
         let mut batch = MlpBatchScratch::new();
-        let probs = mlp.predict_proba_batch_with(samples, flat, &mut batch).to_vec();
-        let mut scalar = MlpScratch::new();
-        for s in 0..samples {
-            let expect = mlp.predict_proba_with(&flat[s * 6..(s + 1) * 6], &mut scalar);
-            prop_assert_eq!(&probs[s * 4..(s + 1) * 4], expect, "sample {}", s);
+        // A first pass over other inputs: reuse must not change any bit.
+        mlp.predict_proba_batch_with(1, &xs[xs.len() - input..], &mut batch);
+        let probs = mlp.predict_proba_batch_with(samples, flat, &mut batch);
+        prop_assert_eq!(probs.len(), samples * output);
+        for (s, x) in flat.chunks(input).enumerate() {
+            let expect = oracle::bits(&oracle::mlp_proba(&model, x));
+            prop_assert_eq!(oracle::bits(&probs[s * output..(s + 1) * output]), expect, "sample {}", s);
         }
     }
 }
