@@ -779,12 +779,18 @@ mod tests {
         // Both forward passes against the row-major oracle, with hidden
         // widths below, at and across the panel width.
         for (hidden, seed) in [(vec![7, 4], 17), (vec![16], 5), (vec![17, 33], 8)] {
-            let mlp = Mlp::new(MlpConfig {
+            let mut mlp = Mlp::new(MlpConfig {
                 input: 5,
                 hidden,
                 output: 3,
                 seed,
             });
+            // `Mlp::new` starts every bias at zero.
+            for (li, layer) in mlp.layers.iter_mut().enumerate() {
+                for (r, b) in layer.b[..layer.rows].iter_mut().enumerate() {
+                    *b = ((li * 31 + r) as f64).cos();
+                }
+            }
             let model = serde_json::to_value(&mlp).unwrap();
             let inputs: Vec<Vec<f64>> = (0..9)
                 .map(|i| (0..5).map(|c| ((i * 5 + c) as f64).sin()).collect())

@@ -13,6 +13,7 @@ use dievent_emotion::{
 };
 use dievent_video::GrayFrame;
 use proptest::prelude::*;
+use serde_json::Value;
 
 /// Deterministic pseudo-random fill so every pixel pattern is exercised
 /// without a strategy allocating whole pixel vectors.
@@ -98,6 +99,29 @@ fn input_value() -> impl Strategy<Value = f64> {
     ]
 }
 
+/// `mlp` rebuilt from its serialized form with its biases taken from
+/// `biases` in turn (`Mlp::new` starts every bias at zero), and that
+/// serialized form.
+fn with_biases(mlp: &Mlp, biases: &[f64]) -> (Mlp, Value) {
+    let mut model = serde_json::to_value(mlp).unwrap();
+    let Value::Object(members) = &mut model else {
+        panic!("an Mlp serializes to an object");
+    };
+    let Some(Value::Array(layers)) = members.get_mut("layers") else {
+        panic!("an Mlp has layers");
+    };
+    let mut next = biases.iter().copied().cycle();
+    for layer in layers {
+        let Value::Object(layer) = layer else {
+            panic!("a layer serializes to an object");
+        };
+        let rows = layer["rows"].as_u64().unwrap() as usize;
+        let b: Vec<f64> = next.by_ref().take(rows).collect();
+        layer.insert("b".into(), serde_json::to_value(&b).unwrap());
+    }
+    (serde_json::from_value(model.clone()).unwrap(), model)
+}
+
 proptest! {
     /// Random frame shapes, contents and thresholds (including ones
     /// where `centre + threshold > 255`): the vectorized descriptor is
@@ -127,9 +151,10 @@ proptest! {
         output in prop_oneof![Just(7usize), 1usize..20],
         samples in 0usize..10,
         xs in proptest::collection::vec(input_value(), 69 * 9),
+        biases in proptest::collection::vec(-2.0..2.0f64, 1..60),
     ) {
-        let mlp = Mlp::new(MlpConfig { input, hidden, output, seed });
-        let model = serde_json::to_value(&mlp).unwrap();
+        let random = Mlp::new(MlpConfig { input, hidden, output, seed });
+        let (mlp, model) = with_biases(&random, &biases);
         let flat = &xs[..samples * input];
         let mut batch = MlpBatchScratch::new();
         // A first pass over other inputs: reuse must not change any bit.
