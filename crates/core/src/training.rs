@@ -238,15 +238,15 @@ mod tests {
         let mutations: [(Mutation, &str); 5] = [
             (
                 |v| drop(items(member(layer(v, 0), "w")).pop()),
-                "48×944 but has 45311 weights",
+                "a 48×944 layer with 45311 weights",
             ),
             (
                 |v| drop(items(member(layer(v, 0), "b")).pop()),
-                "48 rows but 47 biases",
+                "a 48×944 layer with 45312 weights and 47 biases",
             ),
             (
                 |v| *member(layer(v, 1), "cols") = serde_json::json!(47),
-                "7×47 but has 336 weights",
+                "a 7×47 layer with 336 weights",
             ),
             (
                 |v| *member(member(member(v, "mlp"), "config"), "input") = serde_json::json!(943),

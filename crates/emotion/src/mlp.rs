@@ -36,6 +36,16 @@ pub struct MlpConfig {
     pub seed: u64,
 }
 
+impl MlpConfig {
+    /// Layer widths from input to output.
+    fn widths(&self) -> Vec<usize> {
+        let mut widths = vec![self.input];
+        widths.extend(&self.hidden);
+        widths.push(self.output);
+        widths
+    }
+}
+
 /// Optimization hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainingConfig {
@@ -166,28 +176,14 @@ impl TryFrom<RowMajorLayer> for Layer {
     type Error = String;
 
     fn try_from(l: RowMajorLayer) -> Result<Self, String> {
-        if l.rows == 0 || l.cols == 0 {
+        let (rows, cols, w, b) = (l.rows, l.cols, l.w.len(), l.b.len());
+        if rows == 0 || cols == 0 || rows.checked_mul(cols) != Some(w) || b != rows {
             return Err(format!(
-                "layer is {}×{}; both must be positive",
-                l.rows, l.cols
+                "a {rows}×{cols} layer with {w} weights and {b} biases; a layer needs \
+                 positive sides, rows × cols weights and one bias per row"
             ));
         }
-        if l.rows.checked_mul(l.cols) != Some(l.w.len()) {
-            return Err(format!(
-                "layer is {}×{} but has {} weights",
-                l.rows,
-                l.cols,
-                l.w.len()
-            ));
-        }
-        if l.b.len() != l.rows {
-            return Err(format!(
-                "layer has {} rows but {} biases",
-                l.rows,
-                l.b.len()
-            ));
-        }
-        Ok(Layer::pack(l.rows, l.cols, &l.w, &l.b))
+        Ok(Layer::pack(rows, cols, &l.w, &l.b))
     }
 }
 
@@ -288,19 +284,12 @@ impl Deserialize for Mlp {
             config: member(value, "Mlp", "config")?,
             layers: member(value, "Mlp", "layers")?,
         };
-        let c = &mlp.config;
-        let widths: Vec<usize> = std::iter::once(c.input)
-            .chain(c.hidden.iter().copied())
-            .chain(std::iter::once(c.output))
-            .collect();
-        let shapes: Vec<(usize, usize)> = mlp.layers.iter().map(|l| (l.rows, l.cols)).collect();
-        if !shapes
-            .iter()
-            .copied()
-            .eq(widths.windows(2).map(|d| (d[1], d[0])))
-        {
+        let widths = mlp.config.widths();
+        let chain: Vec<(usize, usize)> = widths.windows(2).map(|d| (d[0], d[1])).collect();
+        let shapes: Vec<(usize, usize)> = mlp.layers.iter().map(|l| (l.cols, l.rows)).collect();
+        if shapes != chain {
             return Err(serde::Error::custom(format!(
-                "Mlp: layers of (rows, cols) {shapes:?} do not chain the widths {widths:?}"
+                "Mlp: layers of (cols, rows) {shapes:?} do not chain the widths {widths:?}"
             )));
         }
         Ok(mlp)
@@ -322,10 +311,8 @@ impl Mlp {
             "hidden widths must be positive"
         );
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut dims = vec![config.input];
-        dims.extend(&config.hidden);
-        dims.push(config.output);
-        let layers = dims
+        let layers = config
+            .widths()
             .windows(2)
             .map(|d| Layer::new(d[1], d[0], &mut rng))
             .collect();
@@ -869,9 +856,9 @@ mod tests {
         // The kernel walks panels of `cols × PANEL` weights, which needs
         // `cols > 0`; `rows × cols` must not wrap.
         for (rows, cols, expect) in [
-            (0u64, 3u64, "both must be positive"),
-            (3, 0, "both must be positive"),
-            (u64::MAX / 2 + 1, 2, "but has 0 weights"),
+            (0u64, 3u64, "a 0×3 layer"),
+            (3, 0, "a 3×0 layer"),
+            (u64::MAX / 2 + 1, 2, "×2 layer with 0 weights"),
         ] {
             let json = serde_json::json!({"rows": rows, "cols": cols, "w": [], "b": []});
             let err = serde_json::from_value::<Layer>(json).unwrap_err();

@@ -41,13 +41,15 @@ fn vectorized(f: &GrayFrame, cfg: &LbpConfig) -> Vec<f64> {
     feature
 }
 
-/// Degenerate and non-divisible shapes: no interior at all, one
-/// interior row/column, and grids that don't divide the patch evenly;
-/// thresholds that push `centre + threshold` past 255.
+/// Degenerate and non-divisible shapes: no pixels, no interior at
+/// all, one interior row/column, and grids that don't divide the patch
+/// evenly; thresholds that push `centre + threshold` past 255.
 #[test]
 fn edge_shapes_match_reference() {
     for &(w, h) in &[
-        (1u32, 1u32),
+        (0u32, 4u32),
+        (4, 0),
+        (1, 1),
         (1, 7),
         (7, 1),
         (2, 2),
