@@ -144,9 +144,10 @@ impl EmotionClassifier {
     /// [`Normalizer::apply_extend`], then the row-major MLP of
     /// `tests/support/oracle.rs` — because every kernel keeps its
     /// oracle's operation order per sample (asserted by
-    /// `tests/property_kernels.rs` and this module's tests). In steady state (arena buffers grown to the
-    /// largest frame seen) this path performs zero heap allocation
-    /// (asserted by `tests/alloc_steady_state.rs`).
+    /// `tests/property_kernels.rs` and this module's tests). In steady
+    /// state (arena buffers grown to the largest frame seen) this path
+    /// performs zero heap allocation (asserted by
+    /// `tests/alloc_steady_state.rs`).
     pub fn classify_batch_with<'s>(
         &self,
         patches: &[&GrayFrame],
@@ -171,8 +172,9 @@ impl EmotionClassifier {
 /// Per-worker arena for the batched extract path: the LBP padded patch
 /// and bin image, raw descriptor, packed normalized features, and the
 /// batched MLP's ping-pong activation planes — all reused across every
-/// frame the worker processes. Buffers grow to the largest frame seen and are
-/// never shrunk, so the steady-state extract path allocates nothing.
+/// frame the worker processes. Buffers grow to the largest frame seen
+/// and are never shrunk, so the steady-state extract path allocates
+/// nothing.
 #[derive(Debug, Default, Clone)]
 pub struct ExtractArena {
     /// Raw (pre-normalization) LBP descriptor of the current face.

@@ -213,8 +213,8 @@ fn fill_bin_image(frame: &GrayFrame, t: u8, scratch: &mut LbpScratch) {
 /// Cells partition the patch as evenly as possible; a patch smaller
 /// than the grid still works (cells smaller than a pixel stay
 /// all-zero). The bin image is computed once into `scratch` by the
-/// edge-padded, row-vectorized `fill_bin_image` kernel, then each grid cell
-/// accumulates integer bin counts over its rectangle and normalizes;
+/// edge-padded, row-vectorized `fill_bin_image` kernel, then each grid
+/// cell accumulates integer bin counts over its rectangle and normalizes;
 /// with a reused `feature` and `scratch` the call allocates nothing.
 ///
 /// Bit-identical to the oracle [`lbp_feature_vector_reference`]:
