@@ -5,14 +5,15 @@
 //! [`crate::session`]: it opens a [`PipelineSession`], pushes every
 //! recorded frame from the calling thread through the per-camera
 //! bounded channels (each camera's lane is an independent "smart
-//! camera" running detection, landmarks, pose, tracking, recognition,
-//! and emotion classification), and finishes the session with the
-//! recording's ground truth and context attached. Batch and streaming
-//! therefore share one code path and produce identical results.
+//! camera" running detection, landmarks, pose, tracking and
+//! recognition; fusion classifies the emotion of each participant's
+//! largest face), and finishes the session with the recording's ground
+//! truth and context attached. Batch and streaming therefore share one
+//! code path and produce identical results.
 //!
 //! [`PipelineConfig::pool_threads`] is the only concurrency setting:
-//! `0` runs every session's extraction chunks and fusion on the shared
-//! global pool, `N` on a private pool of `N` workers. Results are
+//! `0` runs every session's extraction chunks on the shared global
+//! pool, `N` on a private pool of `N` workers. Results are
 //! bit-identical for every value.
 //!
 //! Identity bootstrap follows the paper's stance that the participant
@@ -509,8 +510,8 @@ mod tests {
         assert!(Arc::ptr_eq(shared, other), "one default model per process");
 
         // A custom config trains a model of its own, so its handle count
-        // is exact: a session adds one handle per camera lane and clones
-        // no model.
+        // is exact: a session adds one handle, its sequencer's, whatever
+        // the rig size; camera lanes hold none, and no model is cloned.
         let custom = DiEventPipeline::new(PipelineConfig {
             training: TrainingSetConfig {
                 variants: 1,
@@ -524,7 +525,7 @@ mod tests {
         assert_eq!(Arc::strong_count(model), 1);
         let scenario = Scenario::two_camera_dinner(4, 1);
         let session = custom.session(&scenario).expect("session opens");
-        assert_eq!(Arc::strong_count(model), 1 + scenario.rig.len());
+        assert_eq!(Arc::strong_count(model), 2);
         session.finish().expect("session finishes");
         assert_eq!(Arc::strong_count(model), 1);
     }

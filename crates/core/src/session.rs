@@ -14,14 +14,16 @@
 //! [`BackpressureMode::DropOldest`] sheds the stalest queued frame and
 //! counts the drop in telemetry). A lane takes whatever is queued as
 //! one batch, a batch of one included, and runs it in two phases.
-//! Phase A is pure (detection, landmarks, pose, recognition, emotion
-//! classification) and fans contiguous frame chunks over the session's
-//! thread pool; a lone chunk runs inline on the lane. Phase B
-//! (tracking, pose carry-forward) integrates the results in frame
-//! order. A sequencer fuses per-camera outputs into per-frame
+//! Phase A is pure (detection, landmarks, pose, recognition) and fans
+//! contiguous frame chunks over the session's thread pool; a lone chunk
+//! runs inline on the lane. Phase B (tracking, pose carry-forward)
+//! integrates the results in frame order and hands each identified
+//! face's patch on. A sequencer fuses per-camera outputs into per-frame
 //! [`FrameAnalysis`] results on the thread that pushes or polls,
 //! tolerating out-of-order camera arrival within a configurable reorder
-//! window, and [`PipelineSession::finish`] runs the remaining batch stages
+//! window. Fusion keeps each participant's largest face across the
+//! cameras and classifies its emotion there, once per person per frame.
+//! [`PipelineSession::finish`] runs the remaining batch stages
 //! (smoothing, summary, parsing, metadata) to produce the same
 //! [`EventAnalysis`] the batch entry point returns.
 //!
@@ -102,12 +104,14 @@ impl Default for StreamingConfig {
     }
 }
 
-/// One camera worker's per-frame output (observations for fusion plus
-/// per-person emotion evidence).
+/// One camera worker's per-frame output: observations for fusion, plus
+/// the identified faces fusion picks the emotion evidence from.
+#[derive(Default)]
 pub(crate) struct CameraFrameOutput {
     pub(crate) observations: Vec<CameraObservation>,
-    /// `(person, probabilities, confidence, apparent_radius)`
-    pub(crate) emotions: Vec<(usize, Vec<f64>, f64, f64)>,
+    /// `(person, apparent_radius, patch)` per identified face, in face
+    /// order; empty when classification is off.
+    pub(crate) faces: Vec<(usize, f64, GrayFrame)>,
 }
 
 /// One incremental result emitted by the sequencer: the fused (but not
@@ -118,7 +122,9 @@ pub struct FrameAnalysis {
     pub frame: usize,
     /// The fused look-at matrix before temporal smoothing.
     pub raw_matrix: LookAtMatrix,
-    /// Per-person emotion estimates observed this frame.
+    /// Per-person emotion estimates observed this frame, in person
+    /// order: one per participant some camera identified, classified
+    /// from that participant's largest face.
     pub emotions: Vec<EmotionEstimate>,
     /// How many cameras contributed (less than the rig size when the
     /// reorder window evicted the frame or input frames were dropped).
@@ -285,13 +291,16 @@ impl CameraFeed {
 
 /// The reorder-and-fuse stage: collects per-camera frame outputs,
 /// fuses each frame once complete (or once the reorder window expires),
-/// and accumulates the per-frame series the final analysis needs.
+/// classifies each participant's chosen face, and accumulates the
+/// per-frame series the final analysis needs.
 struct Sequencer {
     cameras: usize,
     participants: usize,
     reorder_window: usize,
     camera_poses: Vec<Iso3>,
     config: PipelineConfig,
+    /// The session's emotion model; `None` when classification is off.
+    classifier: Option<Arc<EmotionClassifier>>,
     /// Outputs of every camera lane.
     outputs: Receiver<WorkerOutput>,
     /// Frame index → per-camera slots awaiting fusion.
@@ -326,6 +335,11 @@ struct Sequencer {
     late: Counter,
     fused: Counter,
     fusion_seconds: Histogram,
+    /// Wall time of each frame's classify batch, apart from fusion.
+    classify_seconds: Histogram,
+    /// `emotion_classifications{camera}`, by the camera whose face was
+    /// classified.
+    classified: Vec<Counter>,
     lookat_tests: Counter,
 }
 
@@ -336,6 +350,7 @@ impl Sequencer {
         participants: usize,
         camera_poses: Vec<Iso3>,
         config: PipelineConfig,
+        classifier: Option<Arc<EmotionClassifier>>,
         vitals: Arc<SessionVitals>,
         lineage: LineageTracer,
         outputs: Receiver<WorkerOutput>,
@@ -349,6 +364,7 @@ impl Sequencer {
             reorder_window: config.streaming.reorder_window,
             camera_poses,
             config,
+            classifier,
             outputs,
             pending: BTreeMap::new(),
             high_water: 0,
@@ -367,6 +383,13 @@ impl Sequencer {
             late: telemetry.counter("session.late_arrivals"),
             fused: telemetry.counter("session.frames_fused"),
             fusion_seconds: telemetry.histogram("fusion_seconds"),
+            classify_seconds: telemetry.histogram("emotion.classify_seconds"),
+            classified: (0..cameras)
+                .map(|c| {
+                    let label = c.to_string();
+                    telemetry.counter_with("emotion_classifications", &[("camera", &label)])
+                })
+                .collect(),
             lookat_tests: telemetry.counter("lookat_tests"),
         }
     }
@@ -412,8 +435,10 @@ impl Sequencer {
     /// returned is never overdue. Results always accumulate in
     /// ascending frame order.
     ///
-    /// Fusion costs microseconds per frame, so ready frames fuse here,
-    /// on the calling thread, sharing one look-at scratch.
+    /// Ready frames fuse here, on the calling thread, sharing one
+    /// look-at scratch. A frame costs a few microseconds of fusion plus
+    /// one emotion classification per identified participant, tens of
+    /// microseconds each.
     fn fuse_ready(&mut self, force: bool) {
         let fused_before = self.frame_numbers.len();
         let n = self.participants;
@@ -442,7 +467,7 @@ impl Sequencer {
             // The fuse span is bracketed with lineage stamps (noops when
             // tracing is off).
             let fuse_start = self.lineage.now_s();
-            let (matrix, emotions) = self.fuse_one(&slots, &mut scratch);
+            let (matrix, emotions) = self.fuse_one(slots, &mut scratch);
             self.lineage
                 .fused(frame as u64, fuse_start, self.lineage.now_s());
             // Every ordered pair is geometrically tested per frame.
@@ -466,95 +491,96 @@ impl Sequencer {
     }
 
     /// Identical math to the batch stage-4 inner loop: fuse the
-    /// per-camera observations, derive the look-at matrix, and keep the
-    /// best-resolved emotion estimate per participant. Carries no
-    /// cross-frame state.
+    /// per-camera observations, derive the look-at matrix, and classify
+    /// each participant's best-resolved face. Carries no cross-frame
+    /// state.
     fn fuse_one(
         &self,
-        slots: &[Option<CameraFrameOutput>],
+        slots: Vec<Option<CameraFrameOutput>>,
         scratch: &mut LookAtScratch,
     ) -> (LookAtMatrix, Vec<EmotionEstimate>) {
         let n = self.participants;
         let mut frame_obs = FrameObservations::default();
-        for (c, slot) in slots.iter().enumerate() {
-            frame_obs.cameras.push((
-                self.camera_poses[c],
-                slot.as_ref()
-                    .map_or_else(Vec::new, |o| o.observations.clone()),
-            ));
+        // Per person, the face from the camera with the largest apparent
+        // radius (closest, best-resolved view): `(camera, radius,
+        // patch)`. Only a strictly larger radius wins, so on a tie the
+        // lower camera keeps it.
+        let mut chosen: Vec<Option<(usize, f64, GrayFrame)>> = vec![None; n];
+        for (c, slot) in slots.into_iter().enumerate() {
+            let CameraFrameOutput {
+                observations,
+                faces,
+            } = slot.unwrap_or_default();
+            for (person, radius, patch) in faces {
+                let Some(best) = chosen.get_mut(person) else {
+                    continue;
+                };
+                if best.as_ref().is_none_or(|&(_, r, _)| radius > r) {
+                    *best = Some((c, radius, patch));
+                }
+            }
+            frame_obs.cameras.push((self.camera_poses[c], observations));
         }
         let matrix = self.fusion_seconds.time(|| {
             let poses = fuse_frame(&frame_obs, &self.config.fusion);
             LookAtMatrix::from_poses_with(n, &poses, &self.config.lookat, scratch)
         });
 
-        // Per person, keep the emotion estimate from the camera with
-        // the largest apparent face (closest, best-resolved view).
-        let mut best: Vec<Option<(Vec<f64>, f64, f64)>> = vec![None; n];
-        for slot in slots {
-            let Some(output) = slot else { continue };
-            for (person, probs, conf, radius) in &output.emotions {
-                if *person >= n {
-                    continue;
-                }
-                if best[*person].as_ref().is_none_or(|(_, _, r)| radius > r) {
-                    best[*person] = Some((probs.clone(), *conf, *radius));
-                }
+        let Some(clf) = self.classifier.as_deref() else {
+            return (matrix, Vec::new());
+        };
+        let mut faces = Vec::with_capacity(n);
+        for (person, face) in chosen.iter().enumerate() {
+            if let Some((camera, _, patch)) = face {
+                self.classified[*camera].incr();
+                faces.push((person, patch));
             }
         }
-        let emotions: Vec<EmotionEstimate> = best
-            .into_iter()
-            .enumerate()
-            .filter_map(|(person, b)| {
-                b.map(|(probabilities, confidence, _)| EmotionEstimate {
-                    person,
-                    probabilities,
-                    confidence,
-                })
-            })
-            .collect();
+        if faces.is_empty() {
+            return (matrix, Vec::new());
+        }
+        let emotions = self
+            .classify_seconds
+            .time(|| classify_identified(clf, &faces));
         (matrix, emotions)
     }
 }
 
 std::thread_local! {
-    /// This thread's extraction arena: every Phase-A chunk that runs on
-    /// the thread reuses its LBP/MLP buffers, so the steady-state
+    /// This thread's extraction arena: every classify batch that runs
+    /// on the thread reuses its LBP/MLP buffers, so the steady-state
     /// classify path allocates nothing inside the kernels.
     static ARENA: Cell<Option<ExtractArena>> = const { Cell::new(None) };
 }
 
-/// Classifies one frame's identified faces in a single batched pass
-/// through the calling thread's [`ExtractArena`], returning the
-/// session's `(person, probabilities, confidence, radius)` tuples in
-/// face order.
+/// Classifies `(person, patch)` faces in a single batched pass through
+/// the calling thread's [`ExtractArena`], returning one estimate per
+/// face in input order.
 ///
 /// Bit-identical per face to the emotion kernels' one-face oracles (the
 /// batched kernels keep their operation order per sample — see
-/// `dievent-emotion`), so how a lane's batch is chunked never changes
-/// a probability.
+/// `dievent-emotion`), so which faces share a batch never changes a
+/// probability.
 fn classify_identified(
     clf: &EmotionClassifier,
-    faces: &[(usize, f64, &GrayFrame)],
-) -> Vec<(usize, Vec<f64>, f64, f64)> {
-    if faces.is_empty() {
-        return Vec::new();
-    }
+    faces: &[(usize, &GrayFrame)],
+) -> Vec<EmotionEstimate> {
     // Taken, not borrowed: a nested call on this thread gets a fresh
     // arena instead of a borrow panic.
     let mut arena = ARENA.take().unwrap_or_default();
-    let patches: Vec<&GrayFrame> = faces.iter().map(|&(_, _, patch)| patch).collect();
+    let patches: Vec<&GrayFrame> = faces.iter().map(|&(_, patch)| patch).collect();
     let preds = clf.classify_batch_with(&patches, &mut arena);
-    let classified = faces
+    let estimates = faces
         .iter()
         .enumerate()
-        .map(|(i, &(person, radius, _))| {
-            let (_, confidence) = preds.top(i);
-            (person, preds.probabilities(i).to_vec(), confidence, radius)
+        .map(|(i, &(person, _))| EmotionEstimate {
+            person,
+            probabilities: preds.probabilities(i).to_vec(),
+            confidence: preds.top(i).1,
         })
         .collect();
     ARENA.set(Some(arena));
-    classified
+    estimates
 }
 
 struct CameraStage {
@@ -562,12 +588,12 @@ struct CameraStage {
     camera: PinholeCamera,
     config: ExtractorConfig,
     seats: Arc<Vec<(usize, Vec3)>>,
-    classifier: Option<Arc<EmotionClassifier>>,
+    /// Whether identified faces go on to fusion for classification.
+    classify: bool,
     telemetry: Telemetry,
     monitor: bool,
     extractor: Option<FeatureExtractor>,
     dropped: Counter,
-    classified: Counter,
     lineage: LineageTracer,
     frames: usize,
 }
@@ -579,21 +605,19 @@ impl CameraStage {
         camera: PinholeCamera,
         config: ExtractorConfig,
         seats: Arc<Vec<(usize, Vec3)>>,
-        classifier: Option<Arc<EmotionClassifier>>,
+        classify: bool,
         telemetry: Telemetry,
         monitor: bool,
         lineage: LineageTracer,
     ) -> Self {
         let label = camera_index.to_string();
-        let labels = &[("camera", label.as_str())][..];
         CameraStage {
-            dropped: telemetry.counter_with("detections_dropped", labels),
-            classified: telemetry.counter_with("emotion_classifications", labels),
+            dropped: telemetry.counter_with("detections_dropped", &[("camera", &label)]),
             camera_index,
             camera,
             config,
             seats,
-            classifier,
+            classify,
             telemetry,
             monitor,
             extractor: None,
@@ -636,12 +660,13 @@ impl CameraStage {
 
     /// Runs one batch of the lane's inputs — a batch of one included —
     /// in two phases. Phase A (pure: detection, landmarks, pose,
-    /// recognition, emotion classification) fans contiguous frame
-    /// chunks across the pool; a lone chunk runs inline. Phase B
-    /// (stateful: tracker, pose carry-forward) integrates the results
-    /// in input order, and pose observations pass through. Outputs do
-    /// not depend on how inputs were batched, because Phase A carries
-    /// no cross-frame state and Phase B runs in input order.
+    /// recognition) fans contiguous frame chunks across the pool; a lone
+    /// chunk runs inline. Phase B (stateful: tracker, pose
+    /// carry-forward) integrates the results in input order and passes
+    /// each identified face on for fusion to classify; pose
+    /// observations pass through. Outputs do not depend on how inputs
+    /// were batched, because Phase A carries no cross-frame state and
+    /// Phase B runs in input order.
     fn process_batch(
         &mut self,
         pool: &ThreadPool,
@@ -690,7 +715,7 @@ impl CameraStage {
                         index,
                         output: CameraFrameOutput {
                             observations,
-                            emotions: Vec::new(),
+                            faces: Vec::new(),
                         },
                         monitor: None,
                     }
@@ -700,9 +725,9 @@ impl CameraStage {
         Ok(outputs)
     }
 
-    /// The Phase-A body for one contiguous chunk of a batch: analyze,
-    /// then batch-classify every identified face, on whatever thread
-    /// runs the chunk. A chunk that runs as a pool task opens a
+    /// The Phase-A body for one contiguous chunk of a batch: analyze
+    /// each frame (and downsample camera 0's monitor frame) on whatever
+    /// thread runs the chunk. A chunk that runs as a pool task opens a
     /// `camera.extract_chunk` span; a lone chunk runs inline and opens
     /// none, because a telemetry domain keeps every span record for its
     /// whole life. `lint.toml` names this function under
@@ -737,21 +762,9 @@ impl CameraStage {
                 let extractor = self.extractor.as_ref()?;
                 // Quarter-resolution monitor stream for parsing.
                 let monitor = self.monitor.then(|| frame.downsample2().downsample2());
-                let raw = extractor.analyze(frame);
-                let emotions = match self.classifier.as_deref() {
-                    Some(clf) => {
-                        let faces: Vec<(usize, f64, &GrayFrame)> = raw
-                            .identified_faces()
-                            .map(|(person, radius, patch)| (person.0, radius, patch))
-                            .collect();
-                        classify_identified(clf, &faces)
-                    }
-                    None => Vec::new(),
-                };
                 Some(Analyzed {
-                    raw,
+                    raw: extractor.analyze(frame),
                     monitor,
-                    emotions,
                 })
             })
             .collect()
@@ -759,7 +772,17 @@ impl CameraStage {
 
     /// Stateful phase for one [`Analyzed`] frame: integrates the pure
     /// results through the tracker and assembles the sequencer's input.
+    /// Each identified face goes along for fusion to classify; a patch
+    /// clone shares its pixels.
     fn integrate_analyzed(&mut self, index: usize, done: Analyzed) -> WorkerOutput {
+        let faces = if self.classify {
+            done.raw
+                .identified_faces()
+                .map(|(person, radius, patch)| (person.0, radius, patch.clone()))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let (obs, camera) = match self.extractor.as_mut() {
             Some(extractor) => (extractor.integrate(done.raw), *extractor.camera()),
             // Unreachable: phase A only analyzes once the extractor
@@ -767,7 +790,6 @@ impl CameraStage {
             None => (Vec::new(), self.camera),
         };
         let observations = self.assemble(&camera, &obs);
-        self.classified.add(done.emotions.len() as u64);
         self.frames += 1;
         self.lineage.extract_end(self.camera_index, index as u64);
         WorkerOutput {
@@ -775,7 +797,7 @@ impl CameraStage {
             index,
             output: CameraFrameOutput {
                 observations,
-                emotions: done.emotions,
+                faces,
             },
             monitor: done.monitor,
         }
@@ -828,9 +850,6 @@ impl CameraStage {
 struct Analyzed {
     raw: FrameRaw,
     monitor: Option<GrayFrame>,
-    /// `(person, probabilities, confidence, apparent_radius)`, in face
-    /// order.
-    emotions: Vec<(usize, Vec<f64>, f64, f64)>,
 }
 
 /// Worker poll interval: how often a blocked worker re-checks the
@@ -1025,6 +1044,7 @@ impl PipelineSession {
             participants,
             camera_poses,
             config,
+            classifier.cloned(),
             Arc::clone(&vitals),
             lineage.clone(),
             out_rx,
@@ -1055,7 +1075,7 @@ impl PipelineSession {
                 scenario.rig.cameras[c],
                 config.extractor,
                 Arc::clone(&seats),
-                classifier.cloned(),
+                classifier.is_some(),
                 telemetry.clone(),
                 c == 0 && config.parse_video,
                 lineage.clone(),
@@ -1540,6 +1560,7 @@ fn populate_repository(
 mod tests {
     use super::*;
     use crate::acquisition::Recording;
+    use crate::training::{default_training_set, TrainingSetConfig};
 
     fn quick_config() -> PipelineConfig {
         PipelineConfig {
@@ -1547,6 +1568,172 @@ mod tests {
             parse_video: false,
             ..PipelineConfig::default()
         }
+    }
+
+    /// A two-camera, two-person sequencer fed by hand through the
+    /// returned sender, classifying with the default model when
+    /// `classify` is set.
+    fn hand_fed_sequencer(
+        telemetry: &Telemetry,
+        vitals: &Arc<SessionVitals>,
+        classify: bool,
+    ) -> (Sequencer, Sender<WorkerOutput>) {
+        let (tx, rx) = channel::unbounded();
+        let classifier = classify
+            .then(|| {
+                DiEventPipeline::new(PipelineConfig::default())
+                    .classifier()
+                    .cloned()
+            })
+            .flatten();
+        let sequencer = Sequencer::new(
+            2,
+            2,
+            vec![Iso3::IDENTITY; 2],
+            quick_config(),
+            classifier,
+            Arc::clone(vitals),
+            LineageTracer::disabled(),
+            rx,
+            telemetry,
+        );
+        (sequencer, tx)
+    }
+
+    /// Sends one camera's lane output for `index`.
+    fn send_output(
+        tx: &Sender<WorkerOutput>,
+        camera: usize,
+        index: usize,
+        faces: Vec<(usize, f64, GrayFrame)>,
+    ) {
+        let output = CameraFrameOutput {
+            observations: Vec::new(),
+            faces,
+        };
+        let sent = tx.send(WorkerOutput {
+            camera,
+            index,
+            output,
+            monitor: None,
+        });
+        assert!(sent.is_ok(), "the sequencer holds the receiver");
+    }
+
+    /// Two face patches the default model tells apart.
+    fn two_patches() -> (GrayFrame, GrayFrame) {
+        let mut set = default_training_set(&TrainingSetConfig {
+            variants: 1,
+            identities: 1,
+            ..TrainingSetConfig::default()
+        })
+        .into_iter()
+        .map(|(patch, _)| patch);
+        let (Some(a), Some(b)) = (set.next(), set.next()) else {
+            panic!("the training set holds every emotion");
+        };
+        (a, b)
+    }
+
+    /// The estimate for one patch, classified alone in a fresh arena.
+    fn alone(person: usize, patch: &GrayFrame) -> EmotionEstimate {
+        let pipeline = DiEventPipeline::new(PipelineConfig::default());
+        let clf = pipeline.classifier().expect("classification is on");
+        let mut arena = ExtractArena::new();
+        let preds = clf.classify_batch_with(&[patch], &mut arena);
+        EmotionEstimate {
+            person,
+            probabilities: preds.probabilities(0).to_vec(),
+            confidence: preds.top(0).1,
+        }
+    }
+
+    fn classifications(telemetry: &Telemetry, camera: usize) -> u64 {
+        let name = format!("emotion_classifications{{camera=\"{camera}\"}}");
+        telemetry.report().counter(&name).unwrap_or(0)
+    }
+
+    /// Equal radii are a tie, and a tie keeps the lower camera's face,
+    /// whichever camera's output reaches the sequencer first. Only that
+    /// face is classified, counted under its camera and timed.
+    #[test]
+    fn equal_radii_keep_the_lower_cameras_face_in_any_arrival_order() {
+        let (a, b) = two_patches();
+        assert_ne!(alone(0, &a), alone(0, &b), "the patches must differ");
+        for arrival in [[1, 0], [0, 1]] {
+            let telemetry = Telemetry::enabled();
+            let vitals = Arc::new(SessionVitals::new(2));
+            let (mut sequencer, tx) = hand_fed_sequencer(&telemetry, &vitals, true);
+            for camera in arrival {
+                let patch = if camera == 0 { &a } else { &b };
+                send_output(&tx, camera, 0, vec![(0, 10.25, patch.clone())]);
+                sequencer.drain();
+                sequencer.fuse_ready(false);
+            }
+            assert_eq!(sequencer.frame_numbers, vec![0], "arrival {arrival:?}");
+            assert_eq!(sequencer.emotion_frames, vec![vec![alone(0, &a)]]);
+            assert_eq!(classifications(&telemetry, 0), 1);
+            assert_eq!(classifications(&telemetry, 1), 0);
+            let report = telemetry.report();
+            let timed = report.histogram("emotion.classify_seconds");
+            assert_eq!(timed.map(|h| h.count), Some(1));
+        }
+    }
+
+    #[test]
+    fn a_larger_face_from_a_later_camera_wins() {
+        let (a, b) = two_patches();
+        let telemetry = Telemetry::enabled();
+        let vitals = Arc::new(SessionVitals::new(2));
+        let (mut sequencer, tx) = hand_fed_sequencer(&telemetry, &vitals, true);
+        send_output(&tx, 0, 0, vec![(1, 10.0, a.clone()), (0, 12.0, a.clone())]);
+        send_output(
+            &tx,
+            1,
+            0,
+            vec![(1, 10.25, b.clone()), (0, 11.75, b.clone())],
+        );
+        sequencer.drain();
+        sequencer.fuse_ready(false);
+        let expected = vec![alone(0, &a), alone(1, &b)];
+        assert_eq!(sequencer.emotion_frames, vec![expected]);
+        assert_eq!(classifications(&telemetry, 0), 1);
+        assert_eq!(classifications(&telemetry, 1), 1);
+    }
+
+    /// A face attributed to a person index the session does not have
+    /// is never classified, however large it is.
+    #[test]
+    fn faces_of_unknown_participants_are_ignored() {
+        let (a, b) = two_patches();
+        let telemetry = Telemetry::enabled();
+        let vitals = Arc::new(SessionVitals::new(2));
+        let (mut sequencer, tx) = hand_fed_sequencer(&telemetry, &vitals, true);
+        send_output(&tx, 0, 0, vec![(2, 40.0, a.clone()), (1, 10.0, b.clone())]);
+        send_output(&tx, 1, 0, vec![(usize::MAX, 40.0, a)]);
+        sequencer.drain();
+        sequencer.fuse_ready(false);
+        assert_eq!(sequencer.emotion_frames, vec![vec![alone(1, &b)]]);
+        assert_eq!(classifications(&telemetry, 0), 1);
+        assert_eq!(classifications(&telemetry, 1), 0);
+    }
+
+    #[test]
+    fn classification_off_yields_no_estimates() {
+        let (a, b) = two_patches();
+        let telemetry = Telemetry::enabled();
+        let vitals = Arc::new(SessionVitals::new(2));
+        let (mut sequencer, tx) = hand_fed_sequencer(&telemetry, &vitals, false);
+        send_output(&tx, 0, 0, vec![(0, 10.0, a)]);
+        send_output(&tx, 1, 0, vec![(1, 10.0, b)]);
+        sequencer.drain();
+        sequencer.fuse_ready(false);
+        assert_eq!(sequencer.frame_numbers, vec![0]);
+        assert_eq!(sequencer.emotion_frames, vec![Vec::new()]);
+        let report = telemetry.report();
+        assert_eq!(report.counter_total("emotion_classifications"), 0);
+        let timed = report.histogram("emotion.classify_seconds");
+        assert_eq!(timed.map_or(0, |h| h.count), 0);
     }
 
     #[test]
@@ -1607,30 +1794,10 @@ mod tests {
         const FRAMES: usize = 41;
         let telemetry = Telemetry::enabled();
         let vitals = Arc::new(SessionVitals::new(2));
-        let (tx, rx) = channel::unbounded();
-        let mut sequencer = Sequencer::new(
-            2,
-            2,
-            vec![Iso3::IDENTITY; 2],
-            quick_config(),
-            Arc::clone(&vitals),
-            LineageTracer::disabled(),
-            rx,
-            &telemetry,
-        );
+        let (mut sequencer, tx) = hand_fed_sequencer(&telemetry, &vitals, false);
         let send = |camera| {
             for index in 0..FRAMES {
-                let output = CameraFrameOutput {
-                    observations: Vec::new(),
-                    emotions: Vec::new(),
-                };
-                let sent = tx.send(WorkerOutput {
-                    camera,
-                    index,
-                    output,
-                    monitor: None,
-                });
-                assert!(sent.is_ok(), "the sequencer holds the receiver");
+                send_output(&tx, camera, index, Vec::new());
             }
         };
         for ingested in &vitals.ingested {

@@ -79,10 +79,14 @@ pub struct PoolStats {
     pub run_ns: u64,
 }
 
+/// Runs one chunk and stores its result; `Err` holds a panic payload.
+type RunChunk<'a> = Box<dyn FnOnce() -> std::thread::Result<()> + Send + 'a>;
+
 /// A queued unit of work, stamped at submission so the pool can
 /// attribute queue-wait separately from execution time.
 struct Job {
-    run: Box<dyn FnOnce() + Send + 'static>,
+    run: RunChunk<'static>,
+    batch: Arc<Batch>,
     queued_at: Instant,
 }
 
@@ -117,12 +121,15 @@ impl Shared {
         let started = Instant::now();
         // Saturates to zero when clocks race; never panics.
         let waited = started.duration_since(job.queued_at);
-        (job.run)();
+        let outcome = (job.run)();
         self.queue_wait_ns
             .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
         self.run_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.tasks.fetch_add(1, Ordering::Relaxed);
+        // Counted before the batch learns the job is done, so stats
+        // read after `parallel_chunk_map` returns include all its jobs.
+        job.batch.complete(outcome);
     }
 
     /// Runs queued jobs until the queue is empty, then sleeps until
@@ -340,27 +347,26 @@ impl ThreadPool {
             .zip(items.chunks(chunk_size))
             .enumerate()
             .map(|(i, (slot, chunk))| {
-                let batch = Arc::clone(&batch);
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(i * chunk_size, chunk)));
-                    batch.complete(outcome.map(|part| *slot = Some(part)));
+                let job: RunChunk<'_> = Box::new(move || {
+                    catch_unwind(AssertUnwindSafe(|| f(i * chunk_size, chunk)))
+                        .map(|part| *slot = Some(part))
                 });
                 // SAFETY: the job borrows `items`, `f` and one slot of
                 // `slots`, which all outlive this call. Jobs reach the
                 // queue only in `push_all` below, after `_join` exists,
                 // and `_join`'s `Drop` (on return and unwind alike)
-                // waits until `pending` is zero. Decrementing it is a
-                // job's last use of a borrow (the `Arc<Batch>` is owned),
-                // so no job touches one after this call returns, and
-                // erasing the lifetime to `'static` for the queue is
-                // never observable. Jobs never queued are dropped unrun.
-                let run = unsafe {
-                    std::mem::transmute::<
-                        Box<dyn FnOnce() + Send + '_>,
-                        Box<dyn FnOnce() + Send + 'static>,
-                    >(job)
-                };
-                Job { run, queued_at }
+                // waits until `pending` is zero. `run_job` decrements it
+                // only after the job closure has returned and been
+                // consumed (the `Arc<Batch>` is owned), so no job
+                // touches a borrow after this call returns, and erasing
+                // the lifetime to `'static` for the queue is never
+                // observable. Jobs never queued are dropped unrun.
+                let run = unsafe { std::mem::transmute::<RunChunk<'_>, RunChunk<'static>>(job) };
+                Job {
+                    run,
+                    batch: Arc::clone(&batch),
+                    queued_at,
+                }
             })
             .collect();
         {

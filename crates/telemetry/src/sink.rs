@@ -220,7 +220,10 @@ fn help_for(base: &str) -> Option<&'static str> {
         "faces_detected" => "Face detections accepted by a camera's extractor",
         "identity_misses" => "Detections the face recognizer could not attribute",
         "detections_dropped" => "Detections dropped as unattributable (no usable gaze)",
-        "emotion_classifications" => "LBP+MLP emotion classifier invocations",
+        "emotion_classifications" => {
+            "Faces classified by the LBP+MLP emotion model at fusion, one per identified \
+             participant per frame, by the camera whose face was kept"
+        }
         "lookat_tests" => "Ordered participant pairs geometrically tested for looks",
         "ec_episodes" => "Eye-contact episodes detected over the recording",
         "metadata_inserts" => "Records inserted into the metadata repository",
@@ -243,6 +246,8 @@ fn help_for(base: &str) -> Option<&'static str> {
         "recording_frames" => "Frames fused over the whole recording",
         "frame_extraction_seconds" => "Stage-3 wall-clock seconds per frame, per camera",
         "fusion_seconds" => "Stage-4 fusion + look-at wall-clock seconds per frame",
+        "emotion.classify_seconds" => "Wall-clock seconds of each fused frame's emotion batch",
+        "video.push_seconds" => "Stage-2 wall-clock seconds per camera-0 monitor frame parsed",
         "metadata_flush_seconds" => "Metadata log flush latency",
         _ => return None,
     })

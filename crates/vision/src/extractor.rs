@@ -289,10 +289,9 @@ impl FrameRaw {
     /// Iterates the pure-phase per-face results: the detection, the
     /// recognized identity (if any), and the cropped face patch.
     ///
-    /// This exposes exactly the inputs downstream per-face work (e.g.
-    /// emotion classification) needs, so callers can run it in the
-    /// parallel phase alongside [`FeatureExtractor::analyze`] instead
-    /// of serializing it behind [`FeatureExtractor::integrate`].
+    /// This exposes exactly the inputs downstream per-face work needs
+    /// (a session enrolls participants from its first frame's faces)
+    /// without waiting for [`FeatureExtractor::integrate`].
     pub fn faces(
         &self,
     ) -> impl Iterator<
@@ -308,8 +307,9 @@ impl FrameRaw {
     }
 
     /// Iterates only the faces whose identity was recognized, yielding
-    /// `(person, detection radius, patch)` — the exact tuple the
-    /// session's batched emotion classification consumes. Order matches
+    /// `(person, detection radius, patch)` — the tuple a session's
+    /// camera lanes hand to fusion, which classifies the emotion of
+    /// each person's largest face across the cameras. Order matches
     /// [`faces`](Self::faces) (and therefore the face order
     /// [`FeatureExtractor::integrate`] preserves).
     pub fn identified_faces(

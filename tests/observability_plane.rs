@@ -50,7 +50,10 @@ fn observed_config() -> PipelineConfig {
 fn endpoints_answer_mid_run_and_report_carries_rate_windows() {
     let recording = Recording::capture(Scenario::two_camera_dinner(120, 7));
     let frames = recording.frames();
-    let pipeline = DiEventPipeline::new(observed_config());
+    let pipeline = DiEventPipeline::new(PipelineConfig {
+        classify_emotions: true,
+        ..observed_config()
+    });
     let mut session = pipeline.session(&recording.scenario).expect("session");
 
     let plane = session.observer().expect("plane is active");
@@ -91,6 +94,10 @@ fn endpoints_answer_mid_run_and_report_carries_rate_windows() {
         "dievent_session_camera_alive{camera=\"0\"} 1",
         "dievent_pool_threads",
         "dievent_pool_queue_depth",
+        // Fusion classifies each person's kept face, timed apart.
+        "dievent_emotion_classifications_total{camera=",
+        "# HELP dievent_emotion_classify_seconds Wall-clock",
+        "dievent_emotion_classify_seconds_count ",
     ] {
         assert!(metrics.contains(needle), "missing {needle} in:\n{metrics}");
     }

@@ -5,9 +5,10 @@
 //!
 //! This is the expensive test of the suite (it renders and analyzes
 //! 2440 camera frames); emotion classification and video parsing are
-//! disabled here because the figures only concern the gaze layer. The
-//! same look-at F1 is also floored on two scenarios beyond the
-//! prototype.
+//! disabled in the figure runs because the figures only concern the
+//! gaze layer, and one more run classifies emotions to pin how many
+//! faces fusion classifies. The same look-at F1 is also floored on two
+//! scenarios beyond the prototype.
 
 use dievent_core::{DiEventPipeline, PipelineConfig, Recording};
 use dievent_scene::Scenario;
@@ -131,4 +132,21 @@ fn prototype_eye_contact_episodes_follow_the_script() {
         .iter()
         .any(|e| e.a == 0 && e.b == 2 && e.start <= t10 && t10 < e.end);
     assert!(covered, "episodes: {:?}", analysis.episodes);
+}
+
+/// Fusion classifies each identified guest once per frame, from the
+/// camera with the largest face: 610 frames × 4 guests, a quarter of
+/// the 9,760 identified faces the four cameras see.
+#[test]
+fn prototype_classifies_each_guest_once_per_frame() {
+    let recording = Recording::capture(Scenario::prototype());
+    let pipeline = DiEventPipeline::new(PipelineConfig {
+        parse_video: false,
+        ..PipelineConfig::default()
+    });
+    let analysis = pipeline.run(&recording).expect("pipeline run");
+    assert_eq!(
+        analysis.telemetry.counter_total("emotion_classifications"),
+        2_440
+    );
 }

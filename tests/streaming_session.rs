@@ -4,13 +4,29 @@
 //! (blocking loses nothing; drop-oldest sheds load and accounts for
 //! every shed frame in telemetry).
 
+use dievent_analysis::overall_emotion::EmotionEstimate;
+use dievent_analysis::CameraObservation;
 use dievent_core::{
-    BackpressureMode, CameraId, DiEventError, DiEventPipeline, FinishOptions, PipelineConfig,
-    Recording,
+    BackpressureMode, CameraId, DiEventError, DiEventPipeline, FinishOptions, FrameAnalysis,
+    PipelineConfig, PipelineSession, Recording,
 };
+use dievent_emotion::{EmotionClassifier, ExtractArena};
+use dievent_geometry::{PinholeCamera, Vec3};
 use dievent_scene::Scenario;
 use dievent_video::GrayFrame;
+use dievent_vision::{ExtractorConfig, FaceGallery, FeatureExtractor, PersonId};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
+
+/// Polls until `frames` results have been emitted in all, or a
+/// deadline passes: the lanes extract off this thread.
+fn poll_until(session: &mut PipelineSession, polled: &mut Vec<FrameAnalysis>, frames: usize) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while polled.len() < frames && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+        polled.extend(session.poll());
+    }
+}
 
 /// A frame whose size is not the session's is refused at ingest with a
 /// typed error, before it takes a frame index, and the session then
@@ -305,7 +321,6 @@ fn skew_beyond_reorder_window_evicts_without_duplicates() {
 /// session end to end without touching the pixel path.
 #[test]
 fn pose_observation_stream_produces_full_analysis() {
-    use dievent_analysis::CameraObservation;
     let scenario = Scenario::two_camera_dinner(30, 5);
     let truth = scenario.simulate();
     let config = PipelineConfig::builder()
@@ -336,4 +351,191 @@ fn pose_observation_stream_produces_full_analysis() {
     assert_eq!(analysis.matrices.len(), truth.snapshots.len());
     let looks: usize = analysis.matrices.iter().map(|m| m.count_ones()).sum();
     assert!(looks > 0, "ground-truth poses must register looks");
+}
+
+/// Pose observations skip extraction, so nothing upstream screens them.
+/// NaN and infinite heads, gazes and weights must each be taken in, and
+/// every frame must still fuse with every camera reporting, then
+/// finish.
+#[test]
+fn non_finite_pose_observations_are_fused_without_panic() {
+    const FRAMES: usize = 12;
+    let scenario = Scenario::two_camera_dinner(FRAMES, 5);
+    let cameras = scenario.rig.len();
+    let config = PipelineConfig::builder()
+        .classify_emotions(false)
+        .parse_video(false)
+        .build()
+        .expect("valid config");
+    let pipeline = DiEventPipeline::new(config);
+    let mut session = pipeline.session(&scenario).expect("session");
+    let sane = Vec3::new(0.1, -0.2, 2.5);
+    let mut polled = Vec::new();
+    for f in 0..FRAMES {
+        for c in 0..cameras {
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(f + c) % 3];
+            let observation = |person, head_cam, gaze_cam, weight| CameraObservation {
+                person,
+                head_cam,
+                gaze_cam,
+                weight,
+            };
+            let observations = vec![
+                observation(0, Vec3::new(bad, 0.0, 2.0), Some(sane), 1.0),
+                observation(1, sane, Some(Vec3::new(0.0, bad, 1.0)), 1.0),
+                observation(2, sane, Some(sane), bad),
+                observation(3, Vec3::splat(bad), Some(Vec3::splat(bad)), bad),
+                observation(1, Vec3::splat(bad), None, 0.5),
+            ];
+            session
+                .push_pose_observations(c, observations)
+                .expect("non-finite poses are accepted");
+        }
+        polled.extend(session.poll());
+    }
+    poll_until(&mut session, &mut polled, FRAMES);
+    let frames: Vec<usize> = polled.iter().map(|a| a.frame).collect();
+    assert_eq!(frames, (0..FRAMES).collect::<Vec<_>>());
+    assert!(polled.iter().all(|a| a.cameras_reporting == cameras));
+    let analysis = session.finish().expect("finish");
+    assert_eq!(analysis.raw_matrices.len(), FRAMES);
+}
+
+/// Enrolls one camera's participants from its first frame by seat, as
+/// a session does: a face goes to the participant whose projected seat
+/// is nearest, when that is within two face radii.
+fn enroll(
+    config: ExtractorConfig,
+    camera: PinholeCamera,
+    first: &GrayFrame,
+    seats: &[(usize, Vec3)],
+) -> FaceGallery {
+    let probe = FeatureExtractor::new(config, camera, FaceGallery::default());
+    let mut gallery = FaceGallery::default();
+    for (detection, _, patch) in probe.analyze(first).faces() {
+        let mut best: Option<(usize, f64)> = None;
+        for &(person, head) in seats {
+            if let Some(proj) = camera.project(head) {
+                let d = (proj.pixel.x - detection.cx).hypot(proj.pixel.y - detection.cy);
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((person, d));
+                }
+            }
+        }
+        if let Some((person, d)) = best {
+            if d < detection.radius * 2.0 {
+                gallery.enroll(PersonId(person), detection, patch);
+            }
+        }
+    }
+    gallery
+}
+
+/// An estimate's person and the bits of its numbers.
+fn bits(estimates: &[EmotionEstimate]) -> Vec<(usize, Vec<u64>, u64)> {
+    estimates
+        .iter()
+        .map(|e| {
+            let probabilities = e.probabilities.iter().map(|p| p.to_bits()).collect();
+            (e.person, probabilities, e.confidence.to_bits())
+        })
+        .collect()
+}
+
+/// A session classifies each identified participant once per frame,
+/// at fusion, from the face with the strictly largest detection radius
+/// (the lowest camera on a tie). The oracle is built from public APIs,
+/// as perfbench's replay is: it classifies every identified face of
+/// every camera frame in one batch and keeps the largest. Every polled
+/// estimate must equal it bit for bit.
+#[test]
+fn fused_emotions_equal_a_classify_every_face_oracle() {
+    const FRAMES: usize = 60;
+    let recording = Recording::capture(Scenario::prototype());
+    let scenario = &recording.scenario;
+    let (n, cameras) = (scenario.participants.len(), recording.cameras());
+    let streams: Vec<Vec<GrayFrame>> = (0..cameras)
+        .map(|c| (0..FRAMES).map(|f| recording.frame(c, f)).collect())
+        .collect();
+
+    let config = PipelineConfig::builder()
+        .parse_video(false)
+        .build()
+        .expect("valid config");
+    let pipeline = DiEventPipeline::new(config);
+    let mut session = pipeline.session(scenario).expect("session");
+    let mut polled = Vec::new();
+    for f in 0..FRAMES {
+        for (c, stream) in streams.iter().enumerate() {
+            session.push_frame(c, stream[f].clone()).expect("push");
+        }
+        polled.extend(session.poll());
+    }
+    poll_until(&mut session, &mut polled, FRAMES);
+    let analysis = session.finish().expect("finish");
+
+    let model: EmotionClassifier =
+        serde_json::from_str(include_str!("../crates/core/src/default_classifier.json"))
+            .expect("the shipped model parses");
+    let seats: Vec<(usize, Vec3)> = scenario
+        .participants
+        .iter()
+        .map(|p| (p.index, p.seat_head))
+        .collect();
+    let mut arena = ExtractArena::new();
+    // Per frame and person: (radius, camera, estimate) of the largest
+    // face so far.
+    let mut best: Vec<Vec<Option<(f64, usize, EmotionEstimate)>>> = vec![vec![None; n]; FRAMES];
+    let mut classified = 0;
+    for (c, stream) in streams.iter().enumerate() {
+        let camera = scenario.rig.cameras[c];
+        let gallery = enroll(config.extractor, camera, &stream[0], &seats);
+        let extractor = FeatureExtractor::new(config.extractor, camera, gallery);
+        for (f, frame) in stream.iter().enumerate() {
+            let raw = extractor.analyze(frame);
+            let faces: Vec<(PersonId, f64, &GrayFrame)> = raw.identified_faces().collect();
+            let patches: Vec<&GrayFrame> = faces.iter().map(|&(_, _, patch)| patch).collect();
+            let preds = model.classify_batch_with(&patches, &mut arena);
+            classified += faces.len();
+            for (i, &(person, radius, _)) in faces.iter().enumerate() {
+                let Some(slot) = best[f].get_mut(person.0) else {
+                    continue;
+                };
+                if slot.as_ref().is_none_or(|&(r, _, _)| radius > r) {
+                    let estimate = EmotionEstimate {
+                        person: person.0,
+                        probabilities: preds.probabilities(i).to_vec(),
+                        confidence: preds.top(i).1,
+                    };
+                    *slot = Some((radius, c, estimate));
+                }
+            }
+        }
+    }
+    let winners: BTreeSet<usize> = best
+        .iter()
+        .flatten()
+        .flatten()
+        .map(|&(_, c, _)| c)
+        .collect();
+    assert!(winners.len() > 1, "more than one camera supplies a face");
+    let oracle: Vec<Vec<EmotionEstimate>> = best
+        .into_iter()
+        .map(|people| people.into_iter().flatten().map(|(_, _, e)| e).collect())
+        .collect();
+    let kept: usize = oracle.iter().map(Vec::len).sum();
+    assert!(kept > 0 && kept < classified, "kept {kept} of {classified}");
+
+    let frames: Vec<usize> = polled.iter().map(|a| a.frame).collect();
+    assert_eq!(frames, (0..FRAMES).collect::<Vec<_>>());
+    for (emitted, expected) in polled.iter().zip(&oracle) {
+        assert_eq!(
+            bits(&emitted.emotions),
+            bits(expected),
+            "frame {}",
+            emitted.frame
+        );
+    }
+    let report = &analysis.telemetry;
+    assert_eq!(report.counter_total("emotion_classifications"), kept as u64);
 }
