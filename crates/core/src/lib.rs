@@ -8,7 +8,8 @@
 //! 2. **Video composition analysis** — via `dievent-video`'s parser on
 //!    a downsampled monitor stream;
 //! 3. **Feature extraction** — one `dievent-vision` extractor per
-//!    camera plus the LBP+MLP emotion classifier ([`training`]);
+//!    camera plus the LBP+MLP emotion classifier ([`training`]), which
+//!    a session runs at fusion on each participant's largest face;
 //! 4. **Multilayer analysis** — fusion, look-at matrices, overall
 //!    emotion via `dievent-analysis`;
 //! 5. **Metadata repository** — everything stored and queryable via
