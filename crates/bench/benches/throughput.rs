@@ -16,7 +16,7 @@ use dievent_scene::{render_face_patch, Scenario};
 use dievent_video::{frame_distance, GrayFrame, VideoParser};
 use dievent_vision::{
     detect_faces, estimate_pose, locate_landmarks, DetectorConfig, ExtractorConfig, FaceDetection,
-    FaceGallery, LandmarkConfig, PersonId, PoseConfig,
+    FaceGallery, FeatureExtractor, LandmarkConfig, PersonId, PoseConfig,
 };
 use std::hint::black_box;
 
@@ -33,6 +33,8 @@ fn rendering_and_vision(c: &mut Criterion) {
         b.iter(|| detect_faces(black_box(&frame), &DetectorConfig::default()))
     });
 
+    // Frame 100's largest face has no eye pair, the path most prototype
+    // faces take.
     let dets = detect_faces(&frame, &DetectorConfig::default());
     let det = dets[0];
     c.bench_function("locate_landmarks_one_face", |b| {
@@ -45,19 +47,39 @@ fn rendering_and_vision(c: &mut Criterion) {
         })
     });
 
-    if let Some(lm) = locate_landmarks(&frame, &det, &LandmarkConfig::default()) {
-        let cam = scenario.rig.cameras[0];
-        c.bench_function("estimate_pose_one_face", |b| {
-            b.iter(|| {
-                estimate_pose(
-                    black_box(&det),
-                    black_box(&lm),
-                    black_box(&cam),
-                    &PoseConfig::default(),
-                )
-            })
-        });
-    }
+    // The first face of camera 0 whose landmarks resolve: the eye-pair
+    // path, and the input head pose needs.
+    let (paired_frame, paired, lm) = (0..recording.frames())
+        .find_map(|f| {
+            let frame = recording.frame(0, f);
+            detect_faces(&frame, &DetectorConfig::default())
+                .into_iter()
+                .find_map(|d| {
+                    locate_landmarks(&frame, &d, &LandmarkConfig::default()).map(|lm| (d, lm))
+                })
+                .map(|(d, lm)| (frame, d, lm))
+        })
+        .expect("some prototype face has an eye pair");
+    c.bench_function("locate_landmarks_one_face_eye_pair", |b| {
+        b.iter(|| {
+            locate_landmarks(
+                black_box(&paired_frame),
+                black_box(&paired),
+                &LandmarkConfig::default(),
+            )
+        })
+    });
+    let cam = scenario.rig.cameras[0];
+    c.bench_function("estimate_pose_one_face", |b| {
+        b.iter(|| {
+            estimate_pose(
+                black_box(&paired),
+                black_box(&lm),
+                black_box(&cam),
+                &PoseConfig::default(),
+            )
+        })
+    });
 
     // One face cropped as the extractor crops it (a (2⌈r⌉+1)-pixel
     // square around the centroid, resized to the patch size) and
@@ -80,6 +102,17 @@ fn rendering_and_vision(c: &mut Criterion) {
     }
     c.bench_function("crop_recognize_one_face", |b| {
         b.iter(|| gallery.recognize(black_box(&det), &crop(black_box(&frame), &det)))
+    });
+
+    // The whole per-frame front end of one camera: detection, then
+    // landmarks, pose, crop and recognition of each of the 4 faces.
+    let extractor = FeatureExtractor::new(
+        ExtractorConfig::standard(),
+        scenario.rig.cameras[0],
+        gallery.clone(),
+    );
+    c.bench_function("analyze_one_camera_frame_640x480_4p", |b| {
+        b.iter(|| extractor.analyze(black_box(&frame)))
     });
 
     // Camera 0's monitor frame: two 2× downsamples, 640×480 → 160×120.

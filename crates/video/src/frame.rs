@@ -315,9 +315,13 @@ impl GrayFrame {
     /// Bilinear resize to `(w, h)`.
     ///
     /// Each output column's two source columns and weight are computed
-    /// once per call, each output row's once per row; every pixel then
-    /// evaluates the same f64 expression, in the same order, as a
-    /// per-pixel evaluation with clamped reads would.
+    /// once per call, each output row's once per row. Output rows read
+    /// source rows in ascending order, so each source row is blended
+    /// across the columns once, into an f64 row that the output rows
+    /// reading it share (a row read again past the frame's top or
+    /// bottom edge is blended once more). Every pixel still evaluates
+    /// the same f64 expression, in the same order, as a per-pixel
+    /// evaluation with clamped reads would.
     ///
     /// # Panics
     /// Panics when either target dimension is zero.
@@ -339,15 +343,33 @@ impl GrayFrame {
                 )
             })
             .collect();
+        // Source row `y` blended across the columns, keyed by `y`.
+        let blend = |y: i64, row: &mut (i64, Vec<f64>)| {
+            let source = self.clamped_row(y);
+            for (b, &(left, right, tx)) in row.1.iter_mut().zip(&columns) {
+                *b = f64::from(source[left]) * (1.0 - tx) + f64::from(source[right]) * tx;
+            }
+            row.0 = y;
+        };
+        let mut upper = (i64::MIN, vec![0.0; w as usize]);
+        let mut lower = (i64::MIN, vec![0.0; w as usize]);
         let mut out = vec![0u8; (w * h) as usize];
         for (y, out_row) in out.chunks_exact_mut(w as usize).enumerate() {
             let fy = (y as f64 + 0.5) * sy - 0.5;
             let y0 = fy.floor();
             let ty = fy - y0;
-            let (upper, lower) = (self.clamped_row(y0 as i64), self.clamped_row(y0 as i64 + 1));
-            for (o, &(left, right, tx)) in out_row.iter_mut().zip(&columns) {
-                let top = f64::from(upper[left]) * (1.0 - tx) + f64::from(upper[right]) * tx;
-                let bot = f64::from(lower[left]) * (1.0 - tx) + f64::from(lower[right]) * tx;
+            let y0 = y0 as i64;
+            // The last output row's lower row is often this one's upper.
+            if lower.0 == y0 {
+                std::mem::swap(&mut upper, &mut lower);
+            }
+            if upper.0 != y0 {
+                blend(y0, &mut upper);
+            }
+            if lower.0 != y0 + 1 {
+                blend(y0 + 1, &mut lower);
+            }
+            for ((o, &top), &bot) in out_row.iter_mut().zip(&upper.1).zip(&lower.1) {
                 *o = round_to_u8(top * (1.0 - ty) + bot * ty);
             }
         }

@@ -258,11 +258,14 @@ proptest! {
     fn precomputed_resize_matches_per_pixel_resize(
         f in noise_frame(),
         g in any_size_frame(),
-        w in 1u32..64,
-        h in 1u32..64,
+        (cw, ch, seed) in (1u32..72, 1u32..72, 0u32..u32::MAX),
+        w in 1u32..150,
+        h in 1u32..150,
     ) {
-        prop_assert_eq!(f.resize(w, h), oracle::resize(&f, w, h));
-        prop_assert_eq!(g.resize(w, h), oracle::resize(&g, w, h));
+        // Sources up to face-crop size, shrunk and stretched.
+        for f in [f, g, hashed(cw, ch, seed)] {
+            prop_assert_eq!(f.resize(w, h), oracle::resize(&f, w, h));
+        }
     }
 }
 
@@ -293,6 +296,42 @@ fn pixel_kernels_match_oracles_on_small_sizes() {
                     "{w}x{h} resized to {rw}x{rh}"
                 );
             }
+        }
+    }
+}
+
+/// Square face crops of every side from 1 to 70 pixels (the
+/// prototype's are 39–69), resized to 48 and to sizes on both sides of
+/// the source, and 1-pixel rows and columns stretched and squeezed:
+/// a source row feeds no output row, one, or many.
+#[test]
+fn row_reusing_resize_matches_oracle_at_crop_ratios() {
+    for side in 1..=70u32 {
+        let f = hashed(side, side, side);
+        for target in [1, 2, 35, 47, 48, 49, 96, 141] {
+            assert_eq!(
+                f.resize(target, target),
+                oracle::resize(&f, target, target),
+                "{side}x{side} resized to {target}x{target}"
+            );
+        }
+    }
+    for (w, h) in [(1, 1), (1, 70), (70, 1), (3, 61), (61, 3), (48, 48)] {
+        let f = hashed(w, h, w ^ h);
+        for (rw, rh) in [
+            (1, 1),
+            (1, 48),
+            (48, 1),
+            (48, 48),
+            (200, 2),
+            (2, 200),
+            (7, 300),
+        ] {
+            assert_eq!(
+                f.resize(rw, rh),
+                oracle::resize(&f, rw, rh),
+                "{w}x{h} resized to {rw}x{rh}"
+            );
         }
     }
 }

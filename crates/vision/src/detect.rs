@@ -88,34 +88,13 @@ pub fn detect_faces(frame: &GrayFrame, config: &DetectorConfig) -> Vec<FaceDetec
     if w == 0 || frame.height() == 0 {
         return Vec::new();
     }
-    let mut runs = Vec::new();
-    // Union-find over run indices. A set's root is its earliest run in
-    // raster order, so every entry points at a run no later than itself.
-    let mut parent = Vec::new();
-    let mut above = 0..0;
+    let mut labeller = RunLabeller::default();
     for (y, row) in frame.data().chunks_exact(w).enumerate() {
-        let current = runs.len();
-        push_runs(row, y, config.threshold, &mut runs);
-        parent.extend(current..runs.len());
-        join_rows(&runs, above, current..runs.len(), &mut parent);
-        above = current..runs.len();
+        push_runs(row, y, config.threshold, &mut labeller);
+        labeller.end_row();
     }
-
-    // Number the components in order of their roots; each entry of
-    // `parent` is overwritten with its run's component as it is
-    // reached, after the entry it points at.
-    let mut components: Vec<Component> = Vec::new();
-    for (i, run) in runs.iter().enumerate() {
-        if parent[i] == i {
-            parent[i] = components.len();
-            components.push(Component::new(run));
-        } else {
-            parent[i] = parent[parent[i]];
-            components[parent[i]].add(run);
-        }
-    }
-
-    let mut detections: Vec<FaceDetection> = components
+    let mut detections: Vec<FaceDetection> = labeller
+        .components(Component::add)
         .iter()
         .filter_map(|c| c.detection(config))
         .collect();
@@ -127,17 +106,17 @@ pub fn detect_faces(frame: &GrayFrame, config: &DetectorConfig) -> Vec<FaceDetec
 /// brightest pixel is below the threshold holds no run.
 const SKIP: usize = 32;
 
-/// A maximal span `[start, end)` of row `y` at or above the threshold.
-struct Run {
-    y: usize,
-    start: usize,
-    end: usize,
-    /// Sum of the run's pixel values.
-    luminance: u64,
+/// A maximal span `[start, end)` of row `y`, with the sums `T` its
+/// component adds up (for the detector, its pixels' luminance).
+pub(crate) struct Run<T> {
+    pub(crate) y: usize,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) sums: T,
 }
 
-/// Appends row `y`'s foreground runs to `runs`.
-fn push_runs(row: &[u8], y: usize, threshold: u8, runs: &mut Vec<Run>) {
+/// Appends row `y`'s runs at or above the threshold to `labeller`.
+fn push_runs(row: &[u8], y: usize, threshold: u8, labeller: &mut RunLabeller<u64>) {
     let mut x = 0;
     while x < row.len() {
         let (blocks, _) = row[x..].as_chunks::<SKIP>();
@@ -155,31 +134,74 @@ fn push_runs(row: &[u8], y: usize, threshold: u8, runs: &mut Vec<Run>) {
             .position(|&v| v < threshold)
             .map_or(row.len(), |n| start + n);
         let luminance = row[start..end].iter().map(|&v| u64::from(v)).sum();
-        runs.push(Run {
+        labeller.push(Run {
             y,
             start,
             end,
-            luminance,
+            sums: luminance,
         });
         x = end;
     }
 }
 
-/// Joins each run of the current row with every run of the row above
-/// whose column span it overlaps: 4-connectivity between rows.
-fn join_rows(runs: &[Run], above: Range<usize>, current: Range<usize>, parent: &mut [usize]) {
-    let (mut a, mut c) = (above.start, current.start);
-    while a < above.end && c < current.end {
-        let (up, run) = (&runs[a], &runs[c]);
-        if up.start < run.end && run.start < up.end {
-            let (ra, rc) = (find(parent, a), find(parent, c));
-            parent[ra.max(rc)] = ra.min(rc);
+/// 4-connected component labelling over runs, row by row: each run
+/// joins every run of the row above whose columns it overlaps, in a
+/// union-find over run indices. A set's root is its earliest run in
+/// raster order, so every entry points at a run no later than itself,
+/// and components come out in the raster order of their first pixels.
+#[derive(Default)]
+pub(crate) struct RunLabeller<T> {
+    runs: Vec<Run<T>>,
+    parent: Vec<usize>,
+    /// The runs of the last finished row.
+    above: Range<usize>,
+}
+
+impl<T> RunLabeller<T> {
+    /// Adds a run of the current row; a row's runs come left to right.
+    pub(crate) fn push(&mut self, run: Run<T>) {
+        self.parent.push(self.runs.len());
+        self.runs.push(run);
+    }
+
+    /// Ends the current row, joining each of its runs with every run of
+    /// the row above whose columns it overlaps: 4-connectivity between
+    /// rows. A row with no runs ends too, so the next row joins nothing.
+    pub(crate) fn end_row(&mut self) {
+        let (above, current) = (self.above.clone(), self.above.end..self.runs.len());
+        let (mut a, mut c) = (above.start, current.start);
+        while a < above.end && c < current.end {
+            let (up, run) = (&self.runs[a], &self.runs[c]);
+            if up.start < run.end && run.start < up.end {
+                let (ra, rc) = (find(&mut self.parent, a), find(&mut self.parent, c));
+                self.parent[ra.max(rc)] = ra.min(rc);
+            }
+            if up.end <= run.end {
+                a += 1;
+            } else {
+                c += 1;
+            }
         }
-        if up.end <= run.end {
-            a += 1;
-        } else {
-            c += 1;
+        self.above = current;
+    }
+
+    /// Folds each component's runs into a `C`, the components in the
+    /// raster order of their first pixels and each one's runs in raster
+    /// order.
+    pub(crate) fn components<C: Default>(mut self, mut add: impl FnMut(&mut C, &Run<T>)) -> Vec<C> {
+        // Each entry of `parent` is overwritten with its run's component
+        // as it is reached, after the entry it points at.
+        let mut components: Vec<C> = Vec::new();
+        for (i, run) in self.runs.iter().enumerate() {
+            if self.parent[i] == i {
+                self.parent[i] = components.len();
+                components.push(C::default());
+            } else {
+                self.parent[i] = self.parent[self.parent[i]];
+            }
+            add(&mut components[self.parent[i]], run);
         }
+        components
     }
 }
 
@@ -192,56 +214,71 @@ fn find(parent: &mut [usize], mut i: usize) -> usize {
     i
 }
 
-/// One connected component's running totals.
-struct Component {
-    area: u64,
-    sum_x: u64,
-    sum_y: u64,
-    luminance: u64,
-    x0: usize,
-    y0: usize,
-    x1: usize,
-    y1: usize,
+/// The area, coordinate sums and bbox of a component's runs. Each sum
+/// is an exact integer, so it converts to the f64 a per-pixel f64
+/// accumulation gives while that stays below 2^53.
+pub(crate) struct Extent {
+    pub(crate) area: u64,
+    pub(crate) sum_x: u64,
+    pub(crate) sum_y: u64,
+    pub(crate) x0: usize,
+    pub(crate) y0: usize,
+    pub(crate) x1: usize,
+    pub(crate) y1: usize,
 }
 
-impl Component {
-    fn new(run: &Run) -> Self {
-        let mut c = Component {
+impl Default for Extent {
+    fn default() -> Self {
+        Extent {
             area: 0,
             sum_x: 0,
             sum_y: 0,
-            luminance: 0,
-            x0: run.start,
-            y0: run.y,
+            x0: usize::MAX,
+            y0: usize::MAX,
             x1: 0,
             y1: 0,
-        };
-        c.add(run);
-        c
+        }
     }
+}
 
-    fn add(&mut self, run: &Run) {
+impl Extent {
+    pub(crate) fn add<T>(&mut self, run: &Run<T>) {
         let len = (run.end - run.start) as u64;
         self.area += len;
-        // start + … + (end - 1); the product is even.
+        // start + … + (end - 1); the two factors differ in parity, so
+        // the product is even.
         self.sum_x += (run.start + run.end - 1) as u64 * len / 2;
         self.sum_y += run.y as u64 * len;
-        self.luminance += run.luminance;
         self.x0 = self.x0.min(run.start);
         self.x1 = self.x1.max(run.end - 1);
         self.y0 = self.y0.min(run.y);
         self.y1 = self.y1.max(run.y);
     }
+}
+
+/// One connected component's running totals.
+#[derive(Default)]
+struct Component {
+    extent: Extent,
+    luminance: u64,
+}
+
+impl Component {
+    fn add(&mut self, run: &Run<u64>) {
+        self.extent.add(run);
+        self.luminance += run.sums;
+    }
 
     /// The component as a face, if it passes the area, aspect and
     /// circularity filters.
     fn detection(&self, config: &DetectorConfig) -> Option<FaceDetection> {
-        let area = self.area as usize;
+        let e = &self.extent;
+        let area = e.area as usize;
         if area < config.min_area || area > config.max_area {
             return None;
         }
-        let bw = (self.x1 - self.x0 + 1) as f64;
-        let bh = (self.y1 - self.y0 + 1) as f64;
+        let bw = (e.x1 - e.x0 + 1) as f64;
+        let bh = (e.y1 - e.y0 + 1) as f64;
         let aspect = bw.max(bh) / bw.min(bh);
         if aspect > config.max_aspect {
             return None;
@@ -254,15 +291,10 @@ impl Component {
             return None;
         }
         Some(FaceDetection {
-            cx: self.sum_x as f64 / area as f64,
-            cy: self.sum_y as f64 / area as f64,
+            cx: e.sum_x as f64 / area as f64,
+            cy: e.sum_y as f64 / area as f64,
             radius: (bw + bh) / 4.0,
-            bbox: (
-                self.x0 as u32,
-                self.y0 as u32,
-                self.x1 as u32,
-                self.y1 as u32,
-            ),
+            bbox: (e.x0 as u32, e.y0 as u32, e.x1 as u32, e.y1 as u32),
             area,
             mean_luminance: self.luminance as f64 / area as f64,
         })

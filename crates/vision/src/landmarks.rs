@@ -1,18 +1,28 @@
 //! Facial landmark localization inside a detected face.
 //!
 //! Within a face's bounding box, *feature* pixels (luminance below
-//! [`crate::contract::FEATURE_THRESHOLD`]) are clustered by connected
-//! components. Clusters in the upper half with near-circular bboxes are
-//! eye candidates; the best horizontal pair becomes the eyes, and the
-//! largest remaining cluster below the face centre is the mouth. Pupil
-//! centres are intensity-weighted centroids of sub-pupil-threshold
-//! pixels inside each eye cluster, giving subpixel precision.
+//! [`crate::contract::FEATURE_THRESHOLD`]) inside the face disk are
+//! clustered by 4-connected components. Clusters with a pupil and a
+//! bbox under 2:1 are eye candidates; the best horizontal pair
+//! becomes the eyes, and the largest other cluster below the eye line
+//! is the mouth. Pupil centres are intensity-weighted centroids of
+//! sub-pupil-threshold pixels inside each eye cluster, giving subpixel
+//! precision.
+//!
+//! The kernel works on runs, not pixels. Each bbox row's span inside
+//! the disk is settled by evaluating the disk test near its two ends
+//! only; the feature runs inside it are labelled with the detector's
+//! run union-find; and each cluster sums its area, coordinates and
+//! pupil weights in integers. The sums are exact, so every output is
+//! bit-identical to the per-pixel mask and f64 flood fill kept as the
+//! test oracle (`tests/support/oracle.rs`).
 
 use crate::contract;
-use crate::detect::FaceDetection;
+use crate::detect::{Extent, FaceDetection, Run, RunLabeller};
 use dievent_geometry::Vec2;
 use dievent_video::GrayFrame;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Landmarks of one face, in full-frame pixel coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,124 +79,187 @@ impl Default for LandmarkConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+/// A feature cluster: its centroid and pupil in frame coordinates, its
+/// area and bbox in face-bbox coordinates.
 struct Cluster {
     cx: f64,
     cy: f64,
-    area: usize,
-    x0: usize,
-    y0: usize,
-    x1: usize,
-    y1: usize,
+    extent: Extent,
     /// Intensity-weighted pupil centroid, if any sub-pupil pixels exist.
     pupil: Option<(f64, f64)>,
 }
 
 impl Cluster {
+    fn area(&self) -> u64 {
+        self.extent.area
+    }
+
     fn bbox_radius(&self) -> f64 {
-        ((self.x1 - self.x0 + 1) as f64 + (self.y1 - self.y0 + 1) as f64) / 4.0
+        let e = &self.extent;
+        ((e.x1 - e.x0 + 1) as f64 + (e.y1 - e.y0 + 1) as f64) / 4.0
     }
 
     fn aspect(&self) -> f64 {
-        let w = (self.x1 - self.x0 + 1) as f64;
-        let h = (self.y1 - self.y0 + 1) as f64;
+        let e = &self.extent;
+        let w = (e.x1 - e.x0 + 1) as f64;
+        let h = (e.y1 - e.y0 + 1) as f64;
         w.max(h) / w.min(h)
     }
 }
 
-/// Finds feature clusters inside the face bbox.
+/// Finds feature clusters inside the face bbox, in the raster order of
+/// their first pixels.
 fn feature_clusters(frame: &GrayFrame, det: &FaceDetection, cfg: &LandmarkConfig) -> Vec<Cluster> {
     let (bx0, by0, bx1, by1) = det.bbox;
     let w = (bx1 - bx0 + 1) as usize;
     let h = (by1 - by0 + 1) as usize;
-    let at = |x: usize, y: usize| frame.get(bx0 + x as u32, by0 + y as u32);
+    let stride = frame.width() as usize;
 
     // Feature pixels must be dark AND inside the face disk — the bbox
     // corners contain background, which is also dark.
     let r_limit = det.radius * 0.98;
     let r_limit_sq = r_limit * r_limit;
-    let mut mask: Vec<u8> = Vec::with_capacity(w * h);
+    let mut labeller = RunLabeller::default();
     for y in 0..h {
-        for x in 0..w {
-            let fx = (bx0 + x as u32) as f64 - det.cx;
-            let fy = (by0 + y as u32) as f64 - det.cy;
-            let inside = fx * fx + fy * fy <= r_limit_sq;
-            mask.push(u8::from(inside && at(x, y) < cfg.feature_threshold));
+        let fy = (by0 + y as u32) as f64 - det.cy;
+        let span = disk_span(bx0, w, det.cx, fy * fy, r_limit_sq);
+        if !span.is_empty() {
+            let row = (by0 as usize + y) * stride + bx0 as usize;
+            let pixels = &frame.data()[row + span.start..row + span.end];
+            push_feature_runs(pixels, span.start, y, cfg, &mut labeller);
         }
+        labeller.end_row();
     }
 
-    let mut clusters = Vec::new();
-    let mut stack = Vec::new();
-    for start in 0..mask.len() {
-        if mask[start] != 1 {
-            continue;
+    labeller
+        .components(ClusterSums::add)
+        .into_iter()
+        .filter(|c| c.extent.area >= cfg.min_cluster_area as u64)
+        .map(|c| c.cluster(bx0, by0))
+        .collect()
+}
+
+/// The bbox columns `[lo, hi)` of a row whose pixels pass the disk test
+/// `fx * fx + fy_sq <= limit_sq`, with `fx` the pixel's offset from
+/// `cx` and `x0` the bbox's first column.
+///
+/// Rounding is monotone, so the test's left side never falls as `|fx|`
+/// grows and the passing columns form one interval around the column
+/// nearest `cx`. Its ends are estimated from the circle and settled by
+/// evaluating the test itself, so they agree with a per-pixel test.
+fn disk_span(x0: u32, w: usize, cx: f64, fy_sq: f64, limit_sq: f64) -> Range<usize> {
+    let inside = |x: usize| {
+        let fx = (x0 + x as u32) as f64 - cx;
+        fx * fx + fy_sq <= limit_sq
+    };
+    // A float column, saturated into the bbox (NaN to its first column).
+    let column = |v: f64| (v - f64::from(x0)).clamp(0.0, (w - 1) as f64) as usize;
+    let nearest = [column(cx.floor()), column(cx.ceil())];
+    let Some(&mid) = nearest.iter().find(|&&x| inside(x)) else {
+        return 0..0;
+    };
+    let reach = (limit_sq - fy_sq).max(0.0).sqrt();
+    let mut lo = column((cx - reach).ceil()).min(mid);
+    if inside(lo) {
+        while lo > 0 && inside(lo - 1) {
+            lo -= 1;
         }
-        mask[start] = 2;
-        stack.push(start);
-        let mut c = Cluster {
-            cx: 0.0,
-            cy: 0.0,
-            area: 0,
-            x0: w,
-            y0: h,
-            x1: 0,
-            y1: 0,
-            pupil: None,
-        };
-        let mut pupil_sum = (0.0f64, 0.0f64, 0.0f64); // (x·w, y·w, w)
-        while let Some(idx) = stack.pop() {
-            let x = idx % w;
-            let y = idx / w;
-            c.area += 1;
-            c.cx += x as f64;
-            c.cy += y as f64;
-            c.x0 = c.x0.min(x);
-            c.x1 = c.x1.max(x);
-            c.y0 = c.y0.min(y);
-            c.y1 = c.y1.max(y);
-            let lum = at(x, y);
+    } else {
+        while !inside(lo) {
+            lo += 1;
+        }
+    }
+    let mut hi = column((cx + reach).floor()).max(mid);
+    if inside(hi) {
+        while hi + 1 < w && inside(hi + 1) {
+            hi += 1;
+        }
+    } else {
+        while !inside(hi) {
+            hi -= 1;
+        }
+    }
+    lo..hi + 1
+}
+
+/// Appends the feature runs of `pixels`, bbox row `y` from column `x`
+/// on, to `labeller`: maximal spans below the feature threshold, with
+/// their pupil weights.
+fn push_feature_runs(
+    pixels: &[u8],
+    x: usize,
+    y: usize,
+    cfg: &LandmarkConfig,
+    labeller: &mut RunLabeller<PupilSums>,
+) {
+    let mut at = 0;
+    while let Some(offset) = pixels[at..].iter().position(|&v| v < cfg.feature_threshold) {
+        let start = at + offset;
+        let end = pixels[start..]
+            .iter()
+            .position(|&v| v >= cfg.feature_threshold)
+            .map_or(pixels.len(), |n| start + n);
+        let mut pupil = PupilSums::default();
+        for (column, &lum) in (x + start..).zip(&pixels[start..end]) {
             if lum < cfg.pupil_threshold {
                 // Weight darker pixels more for a subpixel pupil centroid.
-                let wgt = (cfg.pupil_threshold - lum) as f64 + 1.0;
-                pupil_sum.0 += x as f64 * wgt;
-                pupil_sum.1 += y as f64 * wgt;
-                pupil_sum.2 += wgt;
-            }
-            if x > 0 && mask[idx - 1] == 1 {
-                mask[idx - 1] = 2;
-                stack.push(idx - 1);
-            }
-            if x + 1 < w && mask[idx + 1] == 1 {
-                mask[idx + 1] = 2;
-                stack.push(idx + 1);
-            }
-            if y > 0 && mask[idx - w] == 1 {
-                mask[idx - w] = 2;
-                stack.push(idx - w);
-            }
-            if y + 1 < h && mask[idx + w] == 1 {
-                mask[idx + w] = 2;
-                stack.push(idx + w);
+                let weight = u64::from(cfg.pupil_threshold - lum) + 1;
+                pupil.x += column as u64 * weight;
+                pupil.weight += weight;
             }
         }
-        if c.area < cfg.min_cluster_area {
-            continue;
-        }
-        c.cx = c.cx / c.area as f64 + bx0 as f64;
-        c.cy = c.cy / c.area as f64 + by0 as f64;
-        if pupil_sum.2 > 0.0 {
-            c.pupil = Some((
-                pupil_sum.0 / pupil_sum.2 + bx0 as f64,
-                pupil_sum.1 / pupil_sum.2 + by0 as f64,
-            ));
-        }
-        c.x0 += bx0 as usize;
-        c.x1 += bx0 as usize;
-        c.y0 += by0 as usize;
-        c.y1 += by0 as usize;
-        clusters.push(c);
+        labeller.push(Run {
+            y,
+            start: x + start,
+            end: x + end,
+            sums: pupil,
+        });
+        at = end;
     }
-    clusters
+}
+
+/// A run's pupil sums: `Σ x·w` and `Σ w` over its sub-pupil pixels.
+#[derive(Default)]
+struct PupilSums {
+    x: u64,
+    weight: u64,
+}
+
+/// One cluster's totals in bbox coordinates, all integers (every
+/// partial sum stays below 2^53 for bboxes up to 16,384 pixels a side).
+#[derive(Default)]
+struct ClusterSums {
+    extent: Extent,
+    pupil_x: u64,
+    pupil_y: u64,
+    pupil_weight: u64,
+}
+
+impl ClusterSums {
+    fn add(&mut self, run: &Run<PupilSums>) {
+        self.extent.add(run);
+        self.pupil_x += run.sums.x;
+        self.pupil_y += run.y as u64 * run.sums.weight;
+        self.pupil_weight += run.sums.weight;
+    }
+
+    /// The cluster, its centroids moved to the frame by the bbox's
+    /// corner `(bx0, by0)`.
+    fn cluster(self, bx0: u32, by0: u32) -> Cluster {
+        let area = self.extent.area as f64;
+        let weight = self.pupil_weight as f64;
+        Cluster {
+            cx: self.extent.sum_x as f64 / area + bx0 as f64,
+            cy: self.extent.sum_y as f64 / area + by0 as f64,
+            pupil: (self.pupil_weight > 0).then(|| {
+                (
+                    self.pupil_x as f64 / weight + bx0 as f64,
+                    self.pupil_y as f64 / weight + by0 as f64,
+                )
+            }),
+            extent: self.extent,
+        }
+    }
 }
 
 /// Locates eyes, pupils and mouth inside a detection.
@@ -205,16 +278,15 @@ pub fn locate_landmarks(
     }
 
     // Eye candidates: compact clusters with a detectable pupil.
-    let eye_candidates: Vec<&Cluster> = clusters
-        .iter()
-        .filter(|c| c.pupil.is_some() && c.aspect() < 2.0)
+    let eye_candidates: Vec<usize> = (0..clusters.len())
+        .filter(|&k| clusters[k].pupil.is_some() && clusters[k].aspect() < 2.0)
         .collect();
 
     // Choose the pair that is most horizontal and closest in size.
     let mut best: Option<(usize, usize, f64)> = None;
-    for i in 0..eye_candidates.len() {
-        for j in i + 1..eye_candidates.len() {
-            let (a, b) = (eye_candidates[i], eye_candidates[j]);
+    for (i, &ci) in eye_candidates.iter().enumerate() {
+        for &cj in &eye_candidates[i + 1..] {
+            let (a, b) = (&clusters[ci], &clusters[cj]);
             let dx = (a.cx - b.cx).abs();
             let dy = (a.cy - b.cy).abs();
             if dx < det.radius * 0.2 || dy > dx {
@@ -223,35 +295,33 @@ pub fn locate_landmarks(
             // Oblique views foreshorten the far eye much more than the
             // near one (cos ratio up to ~5 at decodable angles), so the
             // size filter only rejects gross mismatches.
-            let size_ratio = a.area.max(b.area) as f64 / a.area.min(b.area) as f64;
+            let size_ratio = a.area().max(b.area()) as f64 / a.area().min(b.area()) as f64;
             if size_ratio > 8.0 {
                 continue;
             }
             // Score: horizontal, similar size, near the face's upper half.
             let score = dy / dx + (size_ratio - 1.0) * 0.1;
             if best.is_none_or(|(_, _, s)| score < s) {
-                best = Some((i, j, score));
+                best = Some((ci, cj, score));
             }
         }
     }
-    let (i, j, _) = best?;
-    let (mut le, mut re) = (eye_candidates[i], eye_candidates[j]);
-    if le.cx > re.cx {
-        std::mem::swap(&mut le, &mut re);
+    let (mut left, mut right, _) = best?;
+    if clusters[left].cx > clusters[right].cx {
+        std::mem::swap(&mut left, &mut right);
     }
+    let (le, re) = (&clusters[left], &clusters[right]);
 
     let eye_radius = (le.bbox_radius() + re.bbox_radius()) / 2.0;
     let eye_mid_y = (le.cy + re.cy) / 2.0;
 
-    // Mouth: largest non-eye cluster below the eye line.
+    // Mouth: largest cluster below the eye line other than the eyes.
     let mouth = clusters
         .iter()
-        .filter(|c| {
-            c.cy > eye_mid_y + eye_radius && (c.cx - le.cx).abs() > f64::EPSILON
-            // not literally an eye
-        })
-        .max_by_key(|c| c.area)
-        .map(|c| Vec2::new(c.cx, c.cy));
+        .enumerate()
+        .filter(|&(k, c)| k != left && k != right && c.cy > eye_mid_y + eye_radius)
+        .max_by_key(|(_, c)| c.area())
+        .map(|(_, c)| Vec2::new(c.cx, c.cy));
 
     let (lpx, lpy) = le.pupil?;
     let (rpx, rpy) = re.pupil?;
@@ -332,6 +402,16 @@ mod tests {
         let (f2, det2) = face_with(7.0, (0.0, -1.5), false);
         let lm2 = locate_landmarks(&f2, &det2, &LandmarkConfig::default()).unwrap();
         assert!(lm2.mean_pupil_offset().y < -0.7);
+    }
+
+    #[test]
+    fn mouth_centred_under_the_left_eye_is_found() {
+        let (mut f, det) = face_with(7.0, (0.0, 0.0), false);
+        // Columns 69..=77 centre the mouth on the left eye's x = 73.
+        f.fill_rect(69, 70, 9, 3, contract::MOUTH_LUMINANCE);
+        let lm = locate_landmarks(&f, &det, &LandmarkConfig::default()).unwrap();
+        assert_eq!(lm.left_eye.x, 73.0, "{lm:?}");
+        assert_eq!(lm.mouth, Some(Vec2::new(73.0, 71.0)), "{lm:?}");
     }
 
     #[test]

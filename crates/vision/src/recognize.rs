@@ -47,17 +47,23 @@ pub fn embed(det: &FaceDetection, patch: &GrayFrame) -> Embedding {
     // Radial profile: mean luminance in concentric rings around the
     // patch centre, normalized to the patch mean to decouple from tone.
     // Ring sums are integers, exact as the f64 they convert to; the
-    // last slot collects the pixels outside the inscribed circle.
+    // last slot collects the pixels outside the inscribed circle, so
+    // the nine slots add up to the patch's own sum.
     let mut sums = [0u64; PROFILE_BINS + 1];
-    let mut counts = [0usize; PROFILE_BINS + 1];
-    RINGS.with_borrow_mut(|rings| {
+    let counts = RINGS.with_borrow_mut(|rings| {
         let rings = rings.for_size(patch.width(), patch.height());
-        for (&px, &ring) in patch.data().iter().zip(rings) {
-            sums[usize::from(ring)] += u64::from(px);
-            counts[usize::from(ring)] += 1;
+        let data = patch.data();
+        for span in &rings.spans {
+            sums[usize::from(span.ring)] += data[span.start..span.end]
+                .iter()
+                .map(|&v| u64::from(v))
+                .sum::<u64>();
         }
+        rings.counts
     });
-    let mean = patch.mean().max(1.0);
+    // `GrayFrame::mean` from the slot sums (an empty patch's is 0).
+    let pixels = patch.data().len().max(1);
+    let mean = (sums.iter().sum::<u64>() as f64 / pixels as f64).max(1.0);
     for (s, c) in sums.iter().zip(&counts).take(PROFILE_BINS) {
         // Scaled to be secondary to the tone channel.
         v.push(if *c > 0 {
@@ -76,27 +82,41 @@ thread_local! {
         RefCell::new(RingTable {
             width: 0,
             height: 0,
-            rings: Vec::new(),
+            spans: Vec::new(),
+            counts: [0; PROFILE_BINS + 1],
         })
     };
 }
 
-/// The profile ring of every pixel of a `width × height` patch, row
-/// major; [`PROFILE_BINS`] marks a pixel outside the inscribed circle.
+/// The profile rings of a `width × height` patch as runs of row-major
+/// pixels in one ring, and each ring's pixel count; ring
+/// [`PROFILE_BINS`] holds the pixels outside the inscribed circle.
+///
+/// A pixel's ring never falls as its distance from the centre grows, so
+/// a row crosses each ring in at most two spans.
 struct RingTable {
     width: u32,
     height: u32,
-    rings: Vec<u8>,
+    spans: Vec<RingSpan>,
+    counts: [usize; PROFILE_BINS + 1],
+}
+
+/// Pixels `[start, end)` of a patch, row major, all in `ring`.
+struct RingSpan {
+    start: usize,
+    end: usize,
+    ring: u8,
 }
 
 impl RingTable {
     /// The table for `width × height`, rebuilt when the size changes.
-    fn for_size(&mut self, width: u32, height: u32) -> &[u8] {
+    fn for_size(&mut self, width: u32, height: u32) -> &RingTable {
         if (self.width, self.height) != (width, height) {
             let (w, h) = (width as f64, height as f64);
             let (cx, cy) = (w / 2.0, h / 2.0);
             let max_r = cx.min(cy);
-            self.rings.clear();
+            self.spans.clear();
+            self.counts = [0; PROFILE_BINS + 1];
             for y in 0..height {
                 for x in 0..width {
                     let dx = x as f64 + 0.5 - cx;
@@ -107,12 +127,21 @@ impl RingTable {
                     } else {
                         (r * PROFILE_BINS as f64) as usize
                     };
-                    self.rings.push(ring as u8);
+                    self.counts[ring] += 1;
+                    let at = (y * width + x) as usize;
+                    match self.spans.last_mut() {
+                        Some(span) if usize::from(span.ring) == ring => span.end = at + 1,
+                        _ => self.spans.push(RingSpan {
+                            start: at,
+                            end: at + 1,
+                            ring: ring as u8,
+                        }),
+                    }
                 }
             }
             (self.width, self.height) = (width, height);
         }
-        &self.rings
+        self
     }
 }
 

@@ -8,9 +8,15 @@ mod oracle;
 mod video_oracle;
 
 use dievent_video::GrayFrame;
+use dievent_vision::contract::{
+    EYE_LUMINANCE, MOUTH_LUMINANCE, PUPIL_LUMINANCE, PUPIL_RADIUS_FRAC,
+};
 use dievent_vision::hungarian::assignment_cost;
 use dievent_vision::recognize::{embed, Embedding};
-use dievent_vision::{detect_faces, hungarian_min_assignment, DetectorConfig, FaceDetection};
+use dievent_vision::{
+    detect_faces, hungarian_min_assignment, locate_landmarks, DetectorConfig, FaceDetection,
+    FaceLandmarks, LandmarkConfig,
+};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -177,12 +183,13 @@ fn blob_frame() -> impl Strategy<Value = GrayFrame> {
         })
 }
 
-/// Frames from 1×1 to 47×47 with independent random pixels.
+/// Frames from 1×1 to 96×96, odd, even and non-square, with
+/// independent random pixels.
 fn noise_frame() -> impl Strategy<Value = GrayFrame> {
     (
-        1u32..48,
-        1u32..48,
-        proptest::collection::vec(0u8..=255, 47 * 47),
+        1u32..97,
+        1u32..97,
+        proptest::collection::vec(0u8..=255, 96 * 96),
     )
         .prop_map(|(w, h, mut pixels)| {
             pixels.truncate((w * h) as usize);
@@ -390,6 +397,276 @@ fn crop_and_embed_chain_matches_oracles() {
                 .map(|v| v.to_bits())
                 .collect();
             assert_eq!(embedding_bits(&embed(det, &patch)), slow, "size {size}");
+        }
+    }
+}
+
+/// Landmarks' fields, floats as bits, so equality is exact: the eyes,
+/// pupils and eye radius, then the mouth.
+type LandmarkBits = Option<([u64; 9], Option<[u64; 2]>)>;
+
+fn landmark_bits(landmarks: Option<FaceLandmarks>) -> LandmarkBits {
+    landmarks.map(|l| {
+        let [a, b, c, d] = [l.left_eye, l.right_eye, l.left_pupil, l.right_pupil];
+        let points = [a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y, l.eye_radius];
+        (
+            points.map(f64::to_bits),
+            l.mouth.map(|m| [m.x.to_bits(), m.y.to_bits()]),
+        )
+    })
+}
+
+/// The production localizer's and the oracle's output, as bits.
+fn both_localizers(
+    frame: &GrayFrame,
+    det: &FaceDetection,
+    config: &LandmarkConfig,
+) -> [LandmarkBits; 2] {
+    [
+        landmark_bits(locate_landmarks(frame, det, config)),
+        landmark_bits(oracle::locate_landmarks(frame, det, config)),
+    ]
+}
+
+/// A radius whose feature disk `(0.98·r)²` is exactly `n`, if one lies
+/// within 64 ulps of `√n / 0.98`: with an integer centre, the disk's
+/// edge then passes exactly through every pixel centre at squared
+/// distance `n`.
+fn exact_edge_radius(n: u64) -> Option<f64> {
+    let guess = (n as f64).sqrt() / 0.98;
+    (-64i64..=64)
+        .map(|k| f64::from_bits(guess.to_bits().wrapping_add_signed(k)))
+        .find(|r| {
+            let limit = r * 0.98;
+            limit * limit == n as f64
+        })
+}
+
+/// A detection centred at `(cx, cy)` with `radius`, its bbox the
+/// circle's pixels grown by `pad` (shrunk when negative) and clamped
+/// into the frame.
+fn detection_at(frame: &GrayFrame, cx: f64, cy: f64, radius: f64, pad: i64) -> FaceDetection {
+    let clamp = |v: f64, last: u32| (v as i64).clamp(0, i64::from(last)) as u32;
+    let (last_x, last_y) = (frame.width() - 1, frame.height() - 1);
+    let x0 = clamp((cx - radius).floor() - pad as f64, last_x);
+    let y0 = clamp((cy - radius).floor() - pad as f64, last_y);
+    let x1 = clamp((cx + radius).ceil() + pad as f64, last_x).max(x0);
+    let y1 = clamp((cy + radius).ceil() + pad as f64, last_y).max(y0);
+    FaceDetection {
+        cx,
+        cy,
+        radius,
+        bbox: (x0, y0, x1, y1),
+        area: 1,
+        mean_luminance: 200.0,
+    }
+}
+
+/// Draws a face of radius `r` at `(cx, cy)`: two eyes with pupils, an
+/// optional mouth (0 none, 1 a bar, 2 a disk), then `±noise` of hashed
+/// noise.
+struct FaceSketch {
+    r: f64,
+    centre: (f64, f64),
+    face: u8,
+    eyes: (f64, f64, f64, f64),
+    pupil: (f64, f64),
+    mouth: (u8, f64, f64, u32, u32),
+    noise: (u8, u32),
+}
+
+impl FaceSketch {
+    fn draw(&self, frame: &mut GrayFrame) {
+        let (cx, cy) = self.centre;
+        let r = self.r;
+        frame.fill_disk(cx, cy, r, self.face);
+        let (dx, dy, size, ratio) = self.eyes;
+        for (side, scale) in [(-1.0, 1.0), (1.0, ratio)] {
+            let (ex, ey) = (cx + side * dx * r, cy + dy * r);
+            let er = (size * r * scale).max(0.6);
+            frame.fill_disk(ex, ey, er, EYE_LUMINANCE);
+            let (px, py) = self.pupil;
+            frame.fill_disk(
+                ex + px * er,
+                ey + py * er,
+                er * PUPIL_RADIUS_FRAC,
+                PUPIL_LUMINANCE,
+            );
+        }
+        let (kind, mx, my, mw, mh) = self.mouth;
+        let (mx, my) = (cx + mx * r, cy + my * r);
+        match kind {
+            1 => frame.fill_rect(
+                mx as i64 - i64::from(mw / 2),
+                my as i64,
+                mw,
+                mh,
+                MOUTH_LUMINANCE,
+            ),
+            2 => frame.fill_disk(mx, my, f64::from(mh), MOUTH_LUMINANCE),
+            _ => {}
+        }
+        let (amplitude, seed) = self.noise;
+        if amplitude > 0 {
+            let span = 2 * u32::from(amplitude) + 1;
+            frame.mutate(|d| {
+                for (i, px) in d.iter_mut().enumerate() {
+                    let hash = (i as u32 ^ seed).wrapping_mul(2_654_435_761) >> 8;
+                    let n = (hash % span) as i32 - i32::from(amplitude);
+                    *px = (i32::from(*px) + n).clamp(0, 255) as u8;
+                }
+            });
+        }
+    }
+}
+
+/// Faces of radius 2–60 px, possibly hanging off the frame, with eyes,
+/// pupils and a mouth placed anywhere on them and noise up to ±40; and
+/// the detections to localize in: the detector's own, one jittered in
+/// centre, radius and bbox, and one with an integer centre and a radius
+/// whose disk edge passes through pixel centres.
+fn face_scene() -> impl Strategy<Value = (GrayFrame, Vec<FaceDetection>)> {
+    (
+        (
+            2.0..60.0f64,
+            -0.3..1.3f64,
+            -0.3..1.3f64,
+            0u32..16,
+            0u8..150,
+            150u8..=255,
+        ),
+        (0.0..0.8f64, -0.7..0.4f64, 0.05..0.3f64, 0.3..1.6f64),
+        (-0.7..0.7f64, -0.7..0.7f64),
+        (0u8..3, -0.6..0.6f64, -0.2..0.9f64, 1u32..24, 1u32..8),
+        (0u8..=40, 0u32..u32::MAX),
+        (-1.5..1.5f64, -1.5..1.5f64, -2.0..2.0f64, -3i64..4, 0u64..64),
+    )
+        .prop_map(|(place, eyes, pupil, mouth, noise, jitter)| {
+            let (r, fx, fy, margin, background, face) = place;
+            let side = (2.0 * r).ceil() as u32 + 3 + margin;
+            let free = f64::from(side) - 2.0 * r - 2.0;
+            let centre = (r + 1.0 + fx * free, r + 1.0 + fy * free);
+            let sketch = FaceSketch {
+                r,
+                centre,
+                face,
+                eyes,
+                pupil,
+                mouth,
+                noise,
+            };
+            let mut frame = GrayFrame::new(side, side, background);
+            sketch.draw(&mut frame);
+
+            let mut detections = detect_faces(&frame, &DetectorConfig::default());
+            let (jx, jy, jr, pad, b) = jitter;
+            let radius = (r + jr).max(0.5);
+            detections.push(detection_at(
+                &frame,
+                centre.0 + jx,
+                centre.1 + jy,
+                radius,
+                pad,
+            ));
+            let a = (0.98 * r).floor().max(1.0) as u64;
+            let n = a * a + (b % (a + 1)).pow(2);
+            if let Some(radius) = exact_edge_radius(n) {
+                let (cx, cy) = (centre.0.round(), centre.1.round());
+                detections.push(detection_at(&frame, cx, cy, radius, pad));
+            }
+            (frame, detections)
+        })
+}
+
+fn landmark_config() -> impl Strategy<Value = LandmarkConfig> {
+    (0u8..=255, 0u8..=255, 0usize..6).prop_map(
+        |(feature_threshold, pupil_threshold, min_cluster_area)| LandmarkConfig {
+            feature_threshold,
+            pupil_threshold,
+            min_cluster_area,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn run_length_landmarks_match_flood_fill(
+        (frame, detections) in face_scene(),
+        config in landmark_config(),
+    ) {
+        for det in &detections {
+            for config in [LandmarkConfig::default(), config] {
+                let [fast, slow] = both_localizers(&frame, det, &config);
+                prop_assert_eq!(fast, slow, "{:?} {:?}", det, config);
+            }
+        }
+    }
+}
+
+/// `n` hashed pixels.
+fn hashed_pixels(n: u32, seed: u32) -> Vec<u8> {
+    (0..n)
+        .map(|i| (i.wrapping_add(seed).wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect()
+}
+
+/// Disks whose edge passes exactly through pixel centres, at every
+/// squared radius `a² + b²` (`b ≤ a ≤ 40`) that has an exact radius,
+/// around a frontal face, with bboxes grown, exact and shrunk; and
+/// one-pixel and frame-edge bboxes.
+#[test]
+fn run_length_landmarks_match_flood_fill_on_exact_edges() {
+    let mut exact = 0;
+    for a in 1..=40u64 {
+        let side = 2 * a as u32 + 9;
+        let c = f64::from(side / 2);
+        let r = a as f64 / 0.98;
+        let mut frame = GrayFrame::new(side, side, 40);
+        FaceSketch {
+            r,
+            centre: (c, c),
+            face: 220,
+            eyes: (0.35, -0.25, 0.18, 1.0),
+            pupil: (0.2, 0.0),
+            mouth: (1, 0.0, 0.45, (a as u32).max(2), 2),
+            noise: (0, 0),
+        }
+        .draw(&mut frame);
+        for b in 0..=a {
+            let Some(radius) = exact_edge_radius(a * a + b * b) else {
+                continue;
+            };
+            exact += 1;
+            for pad in [-2, 0, 2] {
+                let det = detection_at(&frame, c, c, radius, pad);
+                let [fast, slow] = both_localizers(&frame, &det, &LandmarkConfig::default());
+                assert_eq!(fast, slow, "n = {a}² + {b}², pad {pad}");
+            }
+        }
+    }
+    assert!(exact > 300, "only {exact} exact radii");
+
+    let mut frame = GrayFrame::new(9, 7, 0);
+    frame.mutate(|d| d.copy_from_slice(&hashed_pixels(63, 5)));
+    for (cx, cy, radius) in [
+        (0.0, 0.0, 0.5),
+        (4.0, 3.0, 0.2),
+        (8.0, 6.0, 9.0),
+        (4.5, 3.5, 30.0),
+    ] {
+        for pad in [-3, 0, 3] {
+            let det = detection_at(&frame, cx, cy, radius, pad);
+            for feature_threshold in [0, 100, 255] {
+                let config = LandmarkConfig {
+                    feature_threshold,
+                    pupil_threshold: 60,
+                    min_cluster_area: 0,
+                };
+                let [fast, slow] = both_localizers(&frame, &det, &config);
+                assert_eq!(fast, slow, "{det:?} {config:?}");
+            }
         }
     }
 }
